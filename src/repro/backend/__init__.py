@@ -20,6 +20,7 @@ Layer map::
 from repro.backend.base import (
     ExecutionBackend,
     Kernel,
+    block_ranges,
     merge_group_results,
     merge_results,
     merge_vectors,
@@ -65,10 +66,9 @@ from repro.backend.numpy_backend import (
     NumpyBackend,
     PreparedLayout,
     canonical_group_keys,
-    check_delta_state,
+    check_delta,
     check_group_coding,
-    check_store_current,
-    delta_ranges,
+    finish_fold,
     fold_group_state,
     fold_vector_state,
     remap_group_partials,
@@ -110,12 +110,12 @@ __all__ = [
     "LAYOUT_SCALARIZED", "LAYOUT_SORTED", "LayoutOptions",
     "MultiBatchPlan", "NodePlan", "NumpyBackend", "PreparedLayout",
     "ProcessKernelExecutor", "PythonKernelBackend", "ShardedBackend",
-    "TaskNotPicklable", "WorkerError", "available_backends",
-    "build_batch_plan", "canonical_group_keys", "check_delta_state",
-    "check_group_coding", "check_store_current", "clear_column_stores", "clear_kernel_sources",
+    "TaskNotPicklable", "WorkerError", "available_backends", "block_ranges",
+    "build_batch_plan", "canonical_group_keys", "check_delta",
+    "check_group_coding", "clear_column_stores", "clear_kernel_sources",
     "column_store", "column_store_stats", "default_kernel_cache",
-    "default_process_workers", "delta_ranges", "evict_column_store",
-    "executor_mode_from_env", "fold_group_state", "fold_vector_state",
+    "default_process_workers", "evict_column_store",
+    "executor_mode_from_env", "finish_fold", "fold_group_state", "fold_vector_state",
     "get_backend", "kernel_source_dir",
     "load_kernel_source", "merge_group_results", "merge_results",
     "merge_vectors", "peek_column_store", "prepare_data",

@@ -160,13 +160,27 @@ def require_multi(kernel: Kernel) -> None:
         )
 
 
+def block_ranges(n_rows: int, size: int, base: int = 0) -> list[tuple[int, int]]:
+    """Canonical root-row blocks covering ``[aligned(base), n_rows)``.
+
+    Blocks start at multiples of ``size``, so the layout depends only
+    on the row count and the block size — never on how the blocks are
+    later distributed.  ``base`` > 0 (a delta run) starts at the block
+    holding row ``base``: the trailing ranges of the full layout that a
+    pure root append can have touched.
+    """
+    size = max(1, size)
+    start = (base // size) * size
+    return [(lo, min(lo + size, n_rows)) for lo in range(start, n_rows, size)]
+
+
 def merge_vectors(partials: list[list[float]]) -> list[float]:
     """Fold partial aggregate vectors with the ring monoid ``v_add``.
 
-    The fold is strictly left-to-right in list order.  Both the
-    single-shot Python backend and the sharded wrapper reduce the *same*
-    ordered list of per-block partials through this function, which is
-    what makes sharded results bit-identical to single-shot results.
+    The fold is strictly left-to-right in list order — the same order
+    the maintained-state finish (``numpy_backend.finish_fold``) adds the
+    *same* canonically ordered block partials in, which is what makes
+    sharded results bit-identical to single-shot results.
     """
     if not partials:
         return []

@@ -695,7 +695,10 @@ class StoreStats:
 
 
 _STORES: dict[int, tuple[weakref.ref, ColumnStore]] = {}
-_STORES_LOCK = threading.Lock()
+# Reentrant: building a store allocates, allocation can run the cyclic
+# collector, and a collected database's eviction callback then takes
+# this lock on the thread already holding it.
+_STORES_LOCK = threading.RLock()
 _STATS = StoreStats()
 
 

@@ -22,6 +22,7 @@ from repro.aggregates.join_tree import JoinTreeNode
 from repro.backend.base import (
     ExecutionBackend,
     Kernel,
+    block_ranges,
     merge_vectors,
     require_groupby,
     require_multi,
@@ -145,36 +146,33 @@ class PythonKernelBackend(ExecutionBackend):
             meta={"supports_blocks": not plan.is_groupby, "source_cached": warm},
         )
 
-    # -- block protocol (consumed by ShardedBackend) ---------------------
+    # -- block protocol (plain kernels; also driven by ShardedBackend) ---
 
-    def prepare(self, kernel: Kernel, db: Database):
-        """Load the data in plan layout and build the views once."""
+    def prepare(self, kernel: Kernel, db: Database, predicates=None, base: int = 0):
+        """Load the data in plan layout and build the views once:
+        ``(state, n_rows)``.  The full state serves any block range, so
+        ``base`` needs no special case; plain kernels take no δ
+        predicates."""
         data = prepare_data(db, kernel.plan, kernel.layout)
         views = kernel.entry["build_views"](data)
-        n_rows = len(data[kernel.plan.root.relation])
-        return data, views, n_rows
+        return (data, views), len(data[kernel.plan.root.relation])
 
-    def block_ranges(self, n_rows: int) -> list[tuple[int, int]]:
-        if n_rows <= 0:
-            return []
-        size = max(1, self.block_size)
-        return [(lo, min(lo + size, n_rows)) for lo in range(0, n_rows, size)]
-
-    def run_block(self, kernel: Kernel, data, views, lo: int, hi: int) -> list[float]:
+    def run_block(self, kernel: Kernel, state, lo: int, hi: int) -> list[float]:
+        data, views = state
         return kernel.entry["scan_root"](data, views, lo, hi)
 
     # -- single-shot execution -------------------------------------------
 
     def execute(self, kernel: Kernel, db: Database) -> dict[str, float]:
         require_plain(kernel)
-        data, views, n_rows = self.prepare(kernel, db)
-        if n_rows == 0:
-            return kernel.result_dict([0.0] * kernel.plan.num_aggregates)
+        state, n_rows = self.prepare(kernel, db)
         partials = [
-            self.run_block(kernel, data, views, lo, hi)
-            for lo, hi in self.block_ranges(n_rows)
+            self.run_block(kernel, state, lo, hi)
+            for lo, hi in block_ranges(n_rows, self.block_size)
         ]
-        return kernel.result_dict(merge_vectors(partials))
+        return kernel.result_dict(
+            merge_vectors(partials) or [0.0] * kernel.plan.num_aggregates
+        )
 
     def run_groupby(self, kernel: Kernel, db: Database, predicates=None) -> dict:
         require_groupby(kernel)

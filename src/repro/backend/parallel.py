@@ -10,49 +10,48 @@ law ``Σ_{r ∈ R} f(r) = ⊕_k Σ_{r ∈ R_k} f(r)`` for any partition
 
 Two execution paths:
 
-* **Block path** (inner backends exposing the ``prepare`` /
-  ``block_ranges`` / ``run_block`` protocol — the generated-Python and
-  numpy backends — plus the group-by analog ``prepare_groupby`` /
-  ``run_groupby_block`` / ``merge_groupby_blocks`` on numpy): data and
-  views are prepared once and shared read-only; worker threads fold
-  disjoint row blocks and the partials are merged in canonical block
-  order.  Because the block layout depends only on the data — never on
-  the shard count — the merged result is **bit-identical** to the
-  single-shot result for every K, and no per-shard databases or
-  layouts are ever built.
+* **Block path** (kernels flagged ``supports_blocks`` — the
+  generated-Python backend's plain kernels and every numpy kernel):
+  the inner backend's one block protocol drives every run.  The parent
+  cuts the root rows into canonical blocks
+  (:func:`~repro.backend.base.block_ranges`), the inner
+  ``prepare(kernel, db, predicates, base)`` evaluates shared read-only
+  state once, ``run_block(kernel, state, lo, hi)`` folds one block into
+  a partial (a vector, or a per-group partial for group-bys), and
+  :func:`~repro.backend.numpy_backend.finish_fold` folds the partials
+  in canonical block order into a maintained state and serves it.  A
+  single-shot run is that fold with no previous state; a delta run
+  folds only the blocks a root append touched onto the previous one.
+  No per-shard databases or layouts are ever built.
 * **Sub-database path** (engine, C++): the root relation is split into
   K contiguous sub-relations and the inner backend runs once per shard
   (the C++ binary in parallel subprocesses that release the GIL).
   Partial dictionaries merge with ``v_add`` in shard order.
 
-Either path can run its shards on **threads** (the default) or on
-**worker processes** (``mode="process"``, default taken from the
-``IFAQ_EXECUTOR`` environment variable): the block path sends each
-shard's ``(canonical block index, range)`` list to a
-:class:`~repro.backend.process_pool.ProcessKernelExecutor` worker —
-which re-resolves the kernel from the spilled source cache and folds
-the same blocks the thread path would — and merges the returned
-partials in the same canonical block order, so process-sharded results
-stay bit-identical to single-shot for every shard *and* worker count.
-Kernels without a block protocol, and tasks that cannot cross the
-process boundary (opaque predicate callables, unpicklable inner
-backends), silently fall back to the thread path.
+Threads versus processes is only *where* the blocks fold.  Shards run
+on **threads** by default, or on **worker processes** with
+``mode="process"`` (default taken from the ``IFAQ_EXECUTOR``
+environment variable): each shard's ``(canonical block index, range)``
+list goes to a :class:`~repro.backend.process_pool.ProcessKernelExecutor`
+worker, which re-resolves the kernel from the spilled source cache,
+prepares its own copy and folds the same blocks a thread would.  Tasks
+that cannot cross the process boundary (opaque predicate callables,
+unpicklable inner backends) silently fold on threads instead.
 
 Per-shard wall-clock timings are recorded on ``last_shard_seconds`` for
 the benchmark reports.
 
 **The shard bit-identity contract** (pinned by
-``tests/backend/test_parallel.py`` and
-``tests/properties/test_shard_merge.py``): on the block path, the
+``tests/backend/test_parallel.py``, ``tests/backend/test_process_pool.py``
+and ``tests/properties/test_shard_merge.py``): on the block path, the
 block layout is a function of *the data and the kernel's block size
-only* — never of the shard count or thread schedule — and block
-partials are merged left-to-right in canonical block order.  Because
-single-shot execution folds the same blocks in the same order, sharded
-results are **bit-identical** (``==``, not approximately equal) to
-single-shot results for every ``K``.  Backends without the block
-protocol get the sub-database path instead, which guarantees the ring
-merge law but not bit identity (float folds reassociate across shard
-boundaries).
+only* — never of the shard count, worker count or thread schedule — and
+block partials are folded left-to-right in canonical block order.
+Because single-shot execution folds the same blocks in the same order,
+sharded results are **bit-identical** (``==``, not approximately equal)
+to single-shot results for every ``K``.  The sub-database path
+guarantees the ring merge law but not bit identity (float folds
+reassociate across shard boundaries).
 """
 
 from __future__ import annotations
@@ -65,22 +64,17 @@ from dataclasses import dataclass, field
 from repro.backend.base import (
     ExecutionBackend,
     Kernel,
+    block_ranges,
     merge_group_results,
     merge_results,
-    merge_vectors,
     require_groupby,
     require_plain,
 )
 from repro.backend.numpy_backend import (
-    check_delta_state,
-    check_group_coding,
-    check_store_current,
-    delta_ranges,
-    fold_group_state,
-    fold_vector_state,
+    canonical_group_keys,
+    check_delta,
+    finish_fold,
     remap_group_partials,
-    serve_group_state,
-    serve_vector_state,
 )
 from repro.backend.layout import LayoutOptions
 from repro.backend.plan import BatchPlan
@@ -163,13 +157,6 @@ class ShardedBackend(ExecutionBackend):
 
             self.inner = get_backend(self.inner, **self.context)
 
-    def _pool(self):
-        if self.executor is not None:
-            return self.executor
-        from repro.backend.process_pool import shared_process_executor
-
-        return shared_process_executor()
-
     # -- ExecutionBackend ------------------------------------------------
 
     @property
@@ -191,165 +178,145 @@ class ShardedBackend(ExecutionBackend):
         # kernel serves sharded and single-shot execution).
         return self.inner.compile_multi(mplan, layout, members)
 
-    def execute(self, kernel: Kernel, db: Database) -> dict[str, float]:
-        if self._supports_blocks(kernel):
-            if self.mode == "process":
-                from repro.backend.process_pool import TaskNotPicklable
+    # -- entry points -----------------------------------------------------
 
-                try:
-                    return self._execute_blocks_process(kernel, db)
-                except TaskNotPicklable:
-                    pass  # unpicklable inner backend: threads still work
-            return self._execute_blocks(kernel, db)
-        return self._execute_subdatabases(kernel, db)
+    def execute(self, kernel: Kernel, db: Database) -> dict[str, float]:
+        if kernel.meta.get("supports_blocks"):
+            require_plain(kernel)
+            return self._fold(kernel, db)[0]
+        result = self._subdatabases(
+            kernel, db, lambda shard: self.inner.execute(kernel, shard), merge_results
+        )
+        return result or kernel.result_dict([0.0] * kernel.plan.num_aggregates)
 
     def run_groupby(self, kernel: Kernel, db: Database, predicates=None) -> dict:
-        """Group-by over K shards of the plan's root relation.
+        if kernel.meta.get("supports_blocks"):
+            require_groupby(kernel)
+            return self._fold(kernel, db, predicates)[0]
+        return self._subdatabases(
+            kernel,
+            db,
+            lambda shard: self.inner.run_groupby(kernel, shard, predicates),
+            merge_group_results,
+        )
 
-        Inner backends exposing the group-by block protocol
-        (``prepare_groupby`` / ``run_groupby_block`` /
-        ``merge_groupby_blocks``, i.e. the numpy backend) prepare the
-        shared columnar state **once** and fold disjoint root-row
-        blocks from worker threads, merging in canonical block order —
-        bit-identical to single-shot, with no per-shard databases or
-        layouts.  Other backends fall back to the sub-database path:
-        each shard contributes the groups its root rows produce, and
-        shard partials merge per group value with ``v_add`` in shard
-        order.
-        """
-        if self._supports_groupby_blocks(kernel):
-            if self.mode == "process" and self._supports_groupby_merge():
-                from repro.backend.process_pool import TaskNotPicklable
+    def supports_delta(self) -> bool:
+        """Delta runs are guarded against the inner backend's column-store
+        layout, so only inners that keep one (numpy) support them."""
+        probe = getattr(self.inner, "supports_delta", None)
+        return callable(probe) and bool(probe())
 
-                try:
-                    return self._groupby_blocks_process(kernel, db, predicates)
-                except TaskNotPicklable:
-                    pass  # opaque predicate callables: threads still work
-            return self._groupby_blocks(kernel, db, predicates)
-        shard_dbs = shard_database(db, kernel.plan.root.relation, self.shards)
-        if not shard_dbs:
-            self.last_shard_seconds = []
-            return {}
+    def run_maintained(self, kernel: Kernel, db: Database):
+        """Full sharded run that also returns the maintained state."""
+        require_plain(kernel)
+        return self._fold(kernel, db)
 
-        def run_shard(shard_db):
-            started = time.perf_counter()
-            result = self.inner.run_groupby(kernel, shard_db, predicates)
-            return result, time.perf_counter() - started
+    def run_delta(self, kernel: Kernel, db: Database, state):
+        """Fold the appended root rows into a maintained plain result,
+        sharding the delta blocks like any other run."""
+        require_plain(kernel)
+        return self._fold(kernel, db, prev=state)
 
-        if len(shard_dbs) == 1:
-            shard_outputs = [run_shard(shard_dbs[0])]
-        else:
-            with ThreadPoolExecutor(max_workers=len(shard_dbs)) as pool:
-                shard_outputs = list(pool.map(run_shard, shard_dbs))
+    def run_groupby_maintained(self, kernel: Kernel, db: Database, predicates=None):
+        """Full sharded group-by run returning the maintained state."""
+        require_groupby(kernel)
+        return self._fold(kernel, db, predicates)
 
-        self.last_shard_seconds = [seconds for _, seconds in shard_outputs]
-        return merge_group_results([result for result, _ in shard_outputs])
+    def run_groupby_delta(self, kernel: Kernel, db: Database, state, predicates=None):
+        """Fold appended root rows into a maintained group-by result."""
+        require_groupby(kernel)
+        return self._fold(kernel, db, predicates, state)
 
     # -- block path (bit-identical to single-shot) -----------------------
 
-    def _supports_blocks(self, kernel: Kernel) -> bool:
-        return bool(kernel.meta.get("supports_blocks")) and all(
-            hasattr(self.inner, m) for m in ("prepare", "block_ranges", "run_block")
-        )
+    def _fold(self, kernel: Kernel, db: Database, predicates=None, prev=None):
+        """Canonical ranges → :meth:`_fold_ranges` → finish.
 
-    def _supports_groupby_blocks(self, kernel: Kernel) -> bool:
-        return bool(kernel.meta.get("supports_groupby_blocks")) and all(
-            hasattr(self.inner, m)
-            for m in ("prepare_groupby", "block_ranges", "run_groupby_block",
-                      "merge_groupby_blocks")
-        )
-
-    def _groupby_blocks(self, kernel: Kernel, db: Database, predicates=None) -> dict:
+        The parent prepares nothing for a plain run: the row count comes
+        from the database, and in process mode only workers prepare.
+        """
         inner = self.inner
-        state, n_rows = inner.prepare_groupby(kernel, db, predicates)
-        if n_rows == 0:
-            self.last_shard_seconds = []
-            return inner.merge_groupby_blocks(kernel, state, [])
-        ranges = list(enumerate(inner.block_ranges(n_rows)))
-        assignments = _chunk(ranges, self.shards)
-
-        def run_shard(blocks):
-            started = time.perf_counter()
-            partials = [
-                (idx, inner.run_groupby_block(kernel, state, lo, hi))
-                for idx, (lo, hi) in blocks
-            ]
-            return partials, time.perf_counter() - started
-
-        if len(assignments) == 1:
-            shard_outputs = [run_shard(assignments[0])]
-        else:
-            with ThreadPoolExecutor(max_workers=len(assignments)) as pool:
-                shard_outputs = list(pool.map(run_shard, assignments))
-
-        self.last_shard_seconds = [seconds for _, seconds in shard_outputs]
-        by_index = {idx: part for partials, _ in shard_outputs for idx, part in partials}
-        ordered = [by_index[idx] for idx, _ in ranges]
-        return inner.merge_groupby_blocks(kernel, state, ordered)
-
-    def _execute_blocks(self, kernel: Kernel, db: Database) -> dict[str, float]:
-        inner = self.inner
-        data, views, n_rows = inner.prepare(kernel, db)
-        if n_rows == 0:
-            self.last_shard_seconds = []
-            return kernel.result_dict([0.0] * kernel.plan.num_aggregates)
-        ranges = list(enumerate(inner.block_ranges(n_rows)))
-        assignments = _chunk(ranges, self.shards)
-
-        def run_shard(blocks):
-            started = time.perf_counter()
-            partials = [
-                (idx, inner.run_block(kernel, data, views, lo, hi))
-                for idx, (lo, hi) in blocks
-            ]
-            return partials, time.perf_counter() - started
-
-        if len(assignments) == 1:
-            shard_outputs = [run_shard(assignments[0])]
-        else:
-            with ThreadPoolExecutor(max_workers=len(assignments)) as pool:
-                shard_outputs = list(pool.map(run_shard, assignments))
-
-        self.last_shard_seconds = [seconds for _, seconds in shard_outputs]
-        by_index = {idx: part for partials, _ in shard_outputs for idx, part in partials}
-        ordered = [by_index[idx] for idx, _ in ranges]
-        return kernel.result_dict(merge_vectors(ordered))
-
-    # -- process path (same blocks, worker processes) ---------------------
-
-    def _supports_groupby_merge(self) -> bool:
-        # The parent merges remote group-by partials itself, so the
-        # inner backend must expose the key table and the key-based
-        # merge (the numpy backend does).
-        return all(
-            hasattr(self.inner, m)
-            for m in ("groupby_group_keys", "merge_groupby_partials")
+        if prev is not None:
+            check_delta(kernel, prev, inner.prepared_layout(kernel, db), db)
+        n_rows = len(db.relation(kernel.plan.root.relation).data)
+        ranges = block_ranges(
+            n_rows, inner.block_size, prev.n_rows if prev is not None else 0
+        )
+        partials = self._fold_ranges(kernel, db, list(enumerate(ranges)), predicates)
+        group_keys = (
+            inner.prepared_layout(kernel, db).group_keys
+            if kernel.plan.is_groupby
+            else None
+        )
+        return finish_fold(
+            kernel, prev, partials, ranges, n_rows, inner.block_size, group_keys
         )
 
-    def _root_rows(self, kernel: Kernel, db: Database) -> int:
-        # Matches what the inner backend's prepare() derives: both the
-        # generated-Python and numpy preparations keep one entry per
-        # root-relation row.
-        return len(db.relation(kernel.plan.root.relation).data)
+    def _fold_ranges(self, kernel: Kernel, db: Database, indexed, predicates=None):
+        """Fold ``[(canonical index, (lo, hi)), ...]`` across the shards;
+        return the partials in canonical block order.
 
-    def _scatter_blocks(self, kernel: Kernel, db: Database, n_rows: int, **kwargs):
-        """Fan shard block-lists out to worker processes; gather partials
-        back in canonical block order (the bit-identity contract)."""
-        ranges = list(enumerate(self.inner.block_ranges(n_rows)))
-        return self._scatter_ranges(kernel, db, ranges, **kwargs)
+        Process mode ships each shard's block list to a pool worker;
+        thread mode — and any task that cannot cross the process
+        boundary (opaque predicate callables, unpicklable inner
+        backends) — prepares once here and folds on shard threads.
+        Either way the partials equal those of an in-line fold.
+        """
+        from repro.backend.process_pool import TaskNotPicklable
 
-    def _scatter_ranges(self, kernel: Kernel, db: Database, ranges, **kwargs):
-        from repro.backend.process_pool import WorkerError
-
-        assignments = _chunk(ranges, self.shards)
-        pool = self._pool()
-        futures = [
-            pool.run_blocks(
-                self.inner, db, kernel.plan, kernel.layout, blocks, **kwargs
-            )
-            for blocks in assignments
-        ]
         self.last_retries = 0
+        if not indexed:
+            self.last_shard_seconds = []
+            return []
+        assignments = _chunk(indexed, self.shards)
+        outputs = None
+        if self.mode == "process":
+            try:
+                outputs = self._scatter(kernel, db, assignments, predicates)
+            except TaskNotPicklable:
+                pass  # threads still work
+        remote = outputs is not None
+        if not remote:
+            inner = self.inner
+            state, _ = inner.prepare(kernel, db, predicates, indexed[0][1][0])
+            outputs = _on_threads(
+                lambda blocks: [
+                    (idx, inner.run_block(kernel, state, lo, hi))
+                    for idx, (lo, hi) in blocks
+                ],
+                assignments,
+            )
+        self.last_shard_seconds = [seconds for _, seconds in outputs]
+        by_index = {idx: part for partials, _ in outputs for idx, part in partials}
+        ordered = [by_index[idx] for idx, _ in indexed]
+        if remote and kernel.plan.is_groupby:
+            # Workers rebuild their stores from the pickled database, so
+            # their group codes follow a fresh build's coding: re-index
+            # onto this process's (possibly delta-extended) coding.
+            layout = self.inner.prepared_layout(kernel, db)
+            plan = kernel.plan
+            fresh = canonical_group_keys(
+                layout.store, plan.root.relation, plan.group_attr
+            )
+            ordered = remap_group_partials(ordered, fresh, layout.group_keys)
+        return ordered
+
+    def _scatter(self, kernel: Kernel, db: Database, assignments, predicates):
+        """Each shard's block list on a pool worker: ``[(partials,
+        worker seconds), ...]`` in shard order."""
+        from repro.backend.process_pool import WorkerError, shared_process_executor
+        from repro.serving.requests import predicate_key
+
+        pool = self.executor if self.executor is not None else shared_process_executor()
+        pred_key = predicate_key(predicates)
+
+        def submit(blocks):
+            return pool.run_blocks(
+                self.inner, db, kernel.plan, kernel.layout, blocks,
+                predicates=predicates, pred_key=pred_key,
+            )
+
+        futures = [submit(blocks) for blocks in assignments]
         outputs = []
         for blocks, future in zip(assignments, futures):
             attempts = 0
@@ -361,256 +328,34 @@ class ShardedBackend(ExecutionBackend):
                     # A worker died mid-shard; the pool respawned it in
                     # place.  Resubmitting the same canonical block list
                     # is safe — blocks are a pure function of data and
-                    # block size, and the merge below stays in canonical
-                    # block order, so the recovered run is bit-identical.
+                    # block size, and the merge stays in canonical block
+                    # order, so the recovered run is bit-identical.
                     attempts += 1
                     if attempts > self.max_retries:
                         raise
                     self.last_retries += 1
-                    future = pool.run_blocks(
-                        self.inner, db, kernel.plan, kernel.layout, blocks, **kwargs
-                    )
-        self.last_shard_seconds = [seconds for _, seconds in outputs]
-        by_index = {idx: part for partials, _ in outputs for idx, part in partials}
-        return [by_index[idx] for idx, _ in ranges]
-
-    def _execute_blocks_process(self, kernel: Kernel, db: Database) -> dict[str, float]:
-        n_rows = self._root_rows(kernel, db)
-        if n_rows == 0:
-            self.last_shard_seconds = []
-            return kernel.result_dict([0.0] * kernel.plan.num_aggregates)
-        ordered = self._scatter_blocks(kernel, db, n_rows)
-        return kernel.result_dict(merge_vectors(ordered))
-
-    def _groupby_blocks_process(
-        self, kernel: Kernel, db: Database, predicates=None
-    ) -> dict:
-        n_rows = self._root_rows(kernel, db)
-        if n_rows == 0:
-            self.last_shard_seconds = []
-            return {}
-        from repro.serving.requests import predicate_key
-
-        ordered = self._scatter_blocks(
-            kernel,
-            db,
-            n_rows,
-            groupby=True,
-            predicates=predicates,
-            pred_key=predicate_key(predicates),
-        )
-        # Codings are deterministic, so the parent-side key table indexes
-        # the workers' partials exactly.
-        group_keys = self.inner.groupby_group_keys(kernel, db)
-        return self.inner.merge_groupby_partials(group_keys, ordered)
-
-    # -- delta maintenance (streaming ingest) -----------------------------
-
-    def supports_delta(self) -> bool:
-        """Delta runs need the inner backend's delta block protocol."""
-        probe = getattr(self.inner, "supports_delta", None)
-        return callable(probe) and bool(probe())
-
-    def _run_indexed(self, indexed, fn):
-        """Fold ``(idx, (lo, hi))`` block lists across shard threads and
-        return the partials in canonical block order."""
-        assignments = _chunk(indexed, self.shards)
-        if not assignments:
-            self.last_shard_seconds = []
-            return []
-
-        def run_shard(blocks):
-            started = time.perf_counter()
-            partials = [(idx, fn(lo, hi)) for idx, (lo, hi) in blocks]
-            return partials, time.perf_counter() - started
-
-        if len(assignments) == 1:
-            shard_outputs = [run_shard(assignments[0])]
-        else:
-            with ThreadPoolExecutor(max_workers=len(assignments)) as pool:
-                shard_outputs = list(pool.map(run_shard, assignments))
-        self.last_shard_seconds = [seconds for _, seconds in shard_outputs]
-        by_index = {idx: part for partials, _ in shard_outputs for idx, part in partials}
-        return [by_index[idx] for idx, _ in indexed]
-
-    def _finish_vector(self, kernel, prev, ordered, ranges, n_rows):
-        state = fold_vector_state(
-            prev, ordered, ranges, n_rows, self.inner.block_size, kernel.fingerprint
-        )
-        result = kernel.result_dict(
-            serve_vector_state(state, kernel.plan.num_aggregates)
-        )
-        return result, state
-
-    def _finish_group(self, kernel, prev, ordered, ranges, n_rows, group_keys):
-        if prev is not None:
-            check_group_coding(prev, group_keys)
-        state = fold_group_state(
-            prev,
-            ordered,
-            ranges,
-            n_rows,
-            group_keys,
-            kernel.plan.num_aggregates,
-            self.inner.block_size,
-            kernel.fingerprint,
-        )
-        return serve_group_state(state, group_keys), state
-
-    def _remap_remote(self, kernel, db, ordered):
-        """Re-index worker partials onto the parent's (possibly
-        delta-extended) group coding before folding into state."""
-        layout = self.inner.prepared_layout(kernel, db)
-        canonical = self.inner.groupby_group_keys(kernel, db)
-        return remap_group_partials(ordered, canonical, layout.group_keys), layout
-
-    def run_maintained(self, kernel: Kernel, db: Database):
-        """Full sharded run that also returns the maintained state."""
-        require_plain(kernel)
-        inner = self.inner
-        if self.mode == "process" and self._supports_blocks(kernel):
-            from repro.backend.process_pool import TaskNotPicklable
-
-            try:
-                n_rows = self._root_rows(kernel, db)
-                ordered = self._scatter_blocks(kernel, db, n_rows)
-                return self._finish_vector(
-                    kernel, None, ordered, inner.block_ranges(n_rows), n_rows
-                )
-            except TaskNotPicklable:
-                pass
-        data, views, n_rows = inner.prepare(kernel, db)
-        indexed = list(enumerate(inner.block_ranges(n_rows)))
-        ordered = self._run_indexed(
-            indexed, lambda lo, hi: inner.run_block(kernel, data, views, lo, hi)
-        )
-        return self._finish_vector(
-            kernel, None, ordered, [r for _, r in indexed], n_rows
-        )
-
-    def run_delta(self, kernel: Kernel, db: Database, state):
-        """Fold the appended root rows into a maintained plain result,
-        sharding the delta blocks like any other run."""
-        require_plain(kernel)
-        check_delta_state(kernel, state)
-        inner = self.inner
-        check_store_current(inner.prepared_layout(kernel, db), db)
-        new_n = self._root_rows(kernel, db)
-        if new_n < state.n_rows:
-            raise ValueError("delta state is ahead of the database (rows shrank)")
-        ranges = delta_ranges(state.n_rows, new_n, inner.block_size)
-        indexed = list(enumerate(ranges))
-        if self.mode == "process":
-            from repro.backend.process_pool import TaskNotPicklable
-
-            try:
-                ordered = self._scatter_ranges(kernel, db, indexed)
-                return self._finish_vector(kernel, state, ordered, ranges, new_n)
-            except TaskNotPicklable:
-                pass
-        dstate, _ = inner.prepare_delta(kernel, db, state.n_rows)
-        ordered = self._run_indexed(
-            indexed, lambda lo, hi: inner.run_delta_block(kernel, dstate, lo, hi)
-        )
-        return self._finish_vector(kernel, state, ordered, ranges, new_n)
-
-    def run_groupby_maintained(self, kernel: Kernel, db: Database, predicates=None):
-        """Full sharded group-by run returning the maintained state."""
-        require_groupby(kernel)
-        inner = self.inner
-        if self.mode == "process" and self._supports_groupby_merge():
-            from repro.backend.process_pool import TaskNotPicklable
-            from repro.serving.requests import predicate_key
-
-            try:
-                n_rows = self._root_rows(kernel, db)
-                ordered = self._scatter_blocks(
-                    kernel,
-                    db,
-                    n_rows,
-                    groupby=True,
-                    predicates=predicates,
-                    pred_key=predicate_key(predicates),
-                )
-                ordered, layout = self._remap_remote(kernel, db, ordered)
-                return self._finish_group(
-                    kernel,
-                    None,
-                    ordered,
-                    inner.block_ranges(n_rows),
-                    n_rows,
-                    layout.group_keys,
-                )
-            except TaskNotPicklable:
-                pass
-        gb_state, n_rows = inner.prepare_groupby(kernel, db, predicates)
-        layout = gb_state[0]
-        indexed = list(enumerate(inner.block_ranges(n_rows)))
-        ordered = self._run_indexed(
-            indexed, lambda lo, hi: inner.run_groupby_block(kernel, gb_state, lo, hi)
-        )
-        return self._finish_group(
-            kernel, None, ordered, [r for _, r in indexed], n_rows, layout.group_keys
-        )
-
-    def run_groupby_delta(self, kernel: Kernel, db: Database, state, predicates=None):
-        """Fold appended root rows into a maintained group-by result."""
-        require_groupby(kernel)
-        check_delta_state(kernel, state)
-        inner = self.inner
-        check_store_current(inner.prepared_layout(kernel, db), db)
-        new_n = self._root_rows(kernel, db)
-        if new_n < state.n_rows:
-            raise ValueError("delta state is ahead of the database (rows shrank)")
-        ranges = delta_ranges(state.n_rows, new_n, inner.block_size)
-        indexed = list(enumerate(ranges))
-        if self.mode == "process" and self._supports_groupby_merge():
-            from repro.backend.process_pool import TaskNotPicklable
-            from repro.serving.requests import predicate_key
-
-            try:
-                ordered = self._scatter_ranges(
-                    kernel,
-                    db,
-                    indexed,
-                    groupby=True,
-                    predicates=predicates,
-                    pred_key=predicate_key(predicates),
-                )
-                ordered, layout = self._remap_remote(kernel, db, ordered)
-                return self._finish_group(
-                    kernel, state, ordered, ranges, new_n, layout.group_keys
-                )
-            except TaskNotPicklable:
-                pass
-        dstate, _ = inner.prepare_groupby_delta(kernel, db, state.n_rows, predicates)
-        layout = dstate[0]
-        ordered = self._run_indexed(
-            indexed,
-            lambda lo, hi: inner.run_groupby_delta_block(kernel, dstate, lo, hi),
-        )
-        return self._finish_group(
-            kernel, state, ordered, ranges, new_n, layout.group_keys
-        )
+                    future = submit(blocks)
+        return outputs
 
     # -- sub-database path (engine / C++) --------------------------------
 
-    def _execute_subdatabases(self, kernel: Kernel, db: Database) -> dict[str, float]:
+    def _subdatabases(self, kernel: Kernel, db: Database, run, merge):
+        """``run`` once per contiguous root shard on threads; ``merge``
+        the shard results in shard order."""
         shard_dbs = shard_database(db, kernel.plan.root.relation, self.shards)
-        if not shard_dbs:
-            self.last_shard_seconds = []
-            return kernel.result_dict([0.0] * kernel.plan.num_aggregates)
+        outputs = _on_threads(run, shard_dbs)
+        self.last_shard_seconds = [seconds for _, seconds in outputs]
+        return merge([result for result, _ in outputs])
 
-        def run_shard(shard_db):
-            started = time.perf_counter()
-            result = self.inner.execute(kernel, shard_db)
-            return result, time.perf_counter() - started
 
-        if len(shard_dbs) == 1:
-            shard_outputs = [run_shard(shard_dbs[0])]
-        else:
-            with ThreadPoolExecutor(max_workers=len(shard_dbs)) as pool:
-                shard_outputs = list(pool.map(run_shard, shard_dbs))
+def _on_threads(fn, items: list) -> list[tuple]:
+    """``[(fn(item), seconds), ...]`` with one thread per item."""
 
-        self.last_shard_seconds = [seconds for _, seconds in shard_outputs]
-        return merge_results([result for result, _ in shard_outputs])
+    def timed(item):
+        started = time.perf_counter()
+        return fn(item), time.perf_counter() - started
+
+    if len(items) <= 1:
+        return [timed(item) for item in items]
+    with ThreadPoolExecutor(max_workers=len(items)) as pool:
+        return list(pool.map(timed, items))

@@ -161,7 +161,7 @@ def _reset_forked_globals() -> None:
     # package re-exports a function under the submodule's name.
     cs = importlib.import_module("repro.backend.column_store")
     cache_mod = importlib.import_module("repro.backend.cache")
-    cs._STORES_LOCK = threading.Lock()
+    cs._STORES_LOCK = threading.RLock()
     cs._STORES.clear()
     cache_mod._DEFAULT_CACHE = KernelCache()
 
@@ -204,27 +204,16 @@ def _run_task(state: _WorkerState, task: tuple) -> Any:
         return backend.run_groupby_many(kernel, db, predicates)
 
     if kind == "blocks":
-        (blocks,) = task[5:]
-        memo_key = (dtok, kernel.fingerprint, None)
-        prepared = state.prepared.get(memo_key)
-        if prepared is None:
-            prepared = backend.prepare(kernel, db)
-            state.memo_put(state.prepared, memo_key, prepared)
-        data, views, _n_rows = prepared
-        return [
-            (idx, backend.run_block(kernel, data, views, lo, hi))
-            for idx, (lo, hi) in blocks
-        ]
-    if kind == "groupby_blocks":
+        # A full preparation serves any block range — delta ranges too —
+        # so it is memoized per (database, kernel, δ) and reused.
         predicates, pred_key, blocks = task[5:]
         memo_key = (dtok, kernel.fingerprint, pred_key)
         prepared = state.prepared.get(memo_key)
         if prepared is None:
-            prepared = backend.prepare_groupby(kernel, db, predicates)
+            prepared, _n_rows = backend.prepare(kernel, db, predicates)
             state.memo_put(state.prepared, memo_key, prepared)
-        block_state, _n_rows = prepared
         return [
-            (idx, backend.run_groupby_block(kernel, block_state, lo, hi))
+            (idx, backend.run_block(kernel, prepared, lo, hi))
             for idx, (lo, hi) in blocks
         ]
     raise ValueError(f"unknown process task kind {kind!r}")
@@ -475,23 +464,18 @@ class ProcessKernelExecutor(Executor):
         layout: LayoutOptions,
         blocks: Sequence[tuple[int, tuple[int, int]]],
         *,
-        groupby: bool = False,
         predicates=None,
         pred_key: tuple = (),
     ) -> Future:
-        """One shard's block ranges on a worker.
+        """One shard's block ranges on a worker, through the backend's
+        ``prepare`` / ``run_block`` protocol (plain or group-by alike).
 
         ``blocks`` is ``[(canonical_index, (lo, hi)), ...]``; resolves
         to ``([(canonical_index, partial), ...], worker_seconds)`` so
         the caller can merge every shard's partials in canonical block
         order — the bit-identity contract."""
-        if groupby:
-            tail = (predicates, pred_key, tuple(blocks))
-            kind = "groupby_blocks"
-        else:
-            tail = (tuple(blocks),)
-            kind = "blocks"
-        return self._submit(backend, db, kind, plan, layout, tail)
+        tail = (predicates, pred_key, tuple(blocks))
+        return self._submit(backend, db, "blocks", plan, layout, tail)
 
     def _submit(self, backend, db, kind, plan, layout, tail) -> Future:
         if self._closed:

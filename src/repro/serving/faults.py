@@ -237,9 +237,10 @@ class FaultyBackend(ExecutionBackend):
 
     Every kernel-run entry point consults the schedule under its own
     operation name before delegating to ``inner``; everything else
-    (block protocols, delta helpers, layout caches) passes straight
-    through via ``__getattr__``, so the wrapper is transparent to the
-    sharded backend and the column store.
+    (the block protocol, the ``supports_delta`` probe, layout caches)
+    passes straight through via ``__getattr__``, so the wrapper is
+    transparent to the sharded backend, the column store and the
+    service's delta probe.
 
     Holds a ``threading.Event`` when :class:`Hold` actions are armed,
     so it deliberately does **not** cross the process boundary — a
@@ -303,10 +304,6 @@ class FaultyBackend(ExecutionBackend):
     def run_groupby_delta(self, kernel: Kernel, db: Database, state, predicates=None):
         self._apply("run_groupby_delta")
         return self.inner.run_groupby_delta(kernel, db, state, predicates)
-
-    def supports_delta(self) -> bool:
-        probe = getattr(self.inner, "supports_delta", None)
-        return callable(probe) and bool(probe())
 
 
 # -- executor wrapper -------------------------------------------------------

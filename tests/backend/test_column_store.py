@@ -164,3 +164,26 @@ class TestLifecycle:
         assert store.mult("F") is not None  # memoized arrays survive
         with pytest.raises(RuntimeError, match="garbage-collected"):
             store.records("D")  # unbuilt relation needs the database
+
+    def test_collection_during_store_build_does_not_deadlock(self, monkeypatch):
+        """A database collected while another's store is being built
+        evicts its entry from inside the registry's critical section."""
+        import threading
+
+        doomed = _db()
+        column_store(doomed)
+        doomed.cycle = doomed  # only the cyclic collector frees it
+        doomed_ref = weakref.ref(doomed)
+        del doomed
+        original_init = ColumnStore.__init__
+
+        def init_then_collect(self, db):
+            original_init(self, db)
+            gc.collect()  # runs the doomed database's eviction callback
+
+        monkeypatch.setattr(ColumnStore, "__init__", init_then_collect)
+        build_thread = threading.Thread(target=column_store, args=(_db(),), daemon=True)
+        build_thread.start()
+        build_thread.join(timeout=10)
+        assert not build_thread.is_alive(), "store registry deadlocked"
+        assert doomed_ref() is None

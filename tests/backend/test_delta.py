@@ -19,6 +19,7 @@ from repro.aggregates import build_join_tree, covar_batch, variance_batch
 from repro.backend import (
     NumpyBackend,
     ProcessKernelExecutor,
+    PythonKernelBackend,
     ShardedBackend,
     build_batch_plan,
     column_store,
@@ -28,6 +29,7 @@ from repro.backend import (
 )
 from repro.backend.column_store import ColumnStore
 from repro.backend.layout import LAYOUT_SORTED
+from repro.db import Database, Relation
 from repro.ml.regression_tree import Condition
 
 FEATURES = ["cityf", "price"]
@@ -328,3 +330,69 @@ class TestShardedDelta:
             kernel, int_star_db, state, PRICE_PREDICATES
         )
         assert result == fresh_groupby(kernel, int_star_db, PRICE_PREDICATES)
+
+
+def empty_root(db, plan):
+    """A database sharing ``db``'s relations except the plan's root,
+    which keeps its schema but has no rows."""
+    root = db.relation(plan.root.relation)
+    return Database({**db.relations, root.name: Relation(root.schema, {})})
+
+
+#: (inner backend, shard mode or None for single-shot, maintained kinds)
+EMPTY_ROOT_ROUTES = [
+    ("numpy", None, ("plain", "groupby")),
+    ("python", None, ()),
+    ("numpy", "thread", ("plain", "groupby")),
+    ("numpy", "process", ("plain", "groupby")),
+    ("python", "thread", ("plain",)),
+    ("python", "process", ("plain",)),
+]
+
+
+class TestEmptyRoot:
+    """Every route folds an empty root relation to the zero vector (or
+    no groups), and a maintained state over it advances like any other."""
+
+    @staticmethod
+    def _kernels(backend, db, query):
+        plain = backend.compile_plan(plain_plan(db, query), LAYOUT_SORTED)
+        # "units" keeps the group-by plan rooted at S, like the plain one.
+        group = backend.compile_plan(groupby_plan(db, query, "units"), LAYOUT_SORTED)
+        assert plain.plan.root.relation == group.plan.root.relation == "S"
+        return plain, group
+
+    @pytest.mark.parametrize("inner,mode,maintained", EMPTY_ROOT_ROUTES)
+    def test_empty_root_folds_to_zero(
+        self, pool, int_star_db, int_star_query, inner, mode, maintained
+    ):
+        backend = {"numpy": NumpyBackend, "python": PythonKernelBackend}[inner](
+            block_size=16
+        )
+        if mode is not None:
+            backend = ShardedBackend(inner=backend, shards=2, mode=mode, executor=pool)
+        plain, group = self._kernels(backend, int_star_db, int_star_query)
+        db = empty_root(int_star_db, plain.plan)
+        zeros = plain.result_dict([0.0] * plain.plan.num_aggregates)
+        assert backend.execute(plain, db) == zeros
+        assert backend.run_groupby(group, db) == {}
+        if "plain" in maintained:
+            assert backend.run_maintained(plain, db)[0] == zeros
+        if "groupby" in maintained:
+            assert backend.run_groupby_maintained(group, db)[0] == {}
+
+    @pytest.mark.parametrize("mode", [None, "thread", "process"])
+    def test_first_append_after_empty_root(
+        self, pool, int_star_db, int_star_query, mode
+    ):
+        backend = NumpyBackend(block_size=16)
+        if mode is not None:
+            backend = ShardedBackend(inner=backend, shards=2, mode=mode, executor=pool)
+        plain, group = self._kernels(backend, int_star_db, int_star_query)
+        db = empty_root(int_star_db, plain.plan)
+        _, vstate = backend.run_maintained(plain, db)
+        _, gstate = backend.run_groupby_maintained(group, db)
+        db.append_rows("S", sale_rows(0, 37))
+        column_store(db).extend_relation("S")
+        assert backend.run_delta(plain, db, vstate)[0] == fresh_plain(plain, db)
+        assert backend.run_groupby_delta(group, db, gstate)[0] == fresh_groupby(group, db)

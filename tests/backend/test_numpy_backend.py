@@ -205,12 +205,17 @@ class TestBlockProtocol:
             )
 
     def test_sharded_groupby_uses_blocks_not_subdatabases(
-        self, int_star_db, int_star_query
+        self, int_star_db, int_star_query, monkeypatch
     ):
         """The shard path must reuse the shared store via the block
         protocol — no fresh shard databases, hence no store rebuilds."""
+        import repro.backend.parallel as parallel
         from repro.backend.column_store import column_store_stats
 
+        def no_shard_databases(*args, **kwargs):
+            raise AssertionError("group-by took the sub-database path")
+
+        monkeypatch.setattr(parallel, "shard_database", no_shard_databases)
         tree = build_join_tree(
             int_star_db.schema(), int_star_query.relations, stats=int_star_db.statistics()
         )
@@ -219,11 +224,10 @@ class TestBlockProtocol:
         )
         inner = NumpyBackend(block_size=8)
         kernel = inner.compile_plan(plan, LAYOUT_SORTED)
-        sharded_backend = ShardedBackend(inner=inner, shards=4)
-        assert sharded_backend._supports_groupby_blocks(kernel)
-        inner.run_groupby(kernel, int_star_db)  # warm the store
+        sharded_backend = ShardedBackend(inner=inner, shards=4, mode="thread")
+        single = inner.run_groupby(kernel, int_star_db)  # warms the store
         builds_before = column_store_stats().builds
-        sharded_backend.run_groupby(kernel, int_star_db)
+        assert sharded_backend.run_groupby(kernel, int_star_db) == single
         assert column_store_stats().builds == builds_before
 
 

@@ -9,6 +9,7 @@ with ``==`` on float dictionaries (bit identity, not ``approx``).
 
 from __future__ import annotations
 
+import copy
 import threading
 
 import pytest
@@ -25,6 +26,7 @@ from repro.backend import (
     build_batch_plan,
     default_process_workers,
     executor_mode_from_env,
+    peek_column_store,
 )
 from repro.backend.layout import LAYOUT_SORTED
 from repro.ml.regression_tree import Condition
@@ -176,6 +178,32 @@ class TestShardedProcessBitIdentity:
                 assert sharded.run_groupby(kernel, int_star_db) == single
             finally:
                 one.shutdown()
+
+    @pytest.mark.parametrize("inner_cls", [NumpyBackend, PythonKernelBackend])
+    def test_plain_runs_prepare_nothing_in_parent(
+        self, pool, int_star_db, int_star_query, monkeypatch, inner_cls
+    ):
+        """Process-mode plain runs leave all preparation to the workers:
+        no ``prepare`` call and no column store in this process."""
+        inner = inner_cls(block_size=16)
+        kernel = inner.compile_plan(plain_plan(int_star_db, int_star_query), LAYOUT_SORTED)
+        want = inner.execute(kernel, copy.deepcopy(int_star_db))
+        calls = []
+        original = inner_cls.prepare
+
+        def counting_prepare(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        # Patched on the class, after the pool forked its workers: an
+        # instance attribute would make the backend unpicklable, and the
+        # run would silently fold on threads instead.
+        monkeypatch.setattr(inner_cls, "prepare", counting_prepare)
+        sharded = ShardedBackend(inner=inner, shards=2, mode="process", executor=pool)
+        assert sharded.execute(kernel, int_star_db) == want
+        assert sharded.run_maintained(kernel, int_star_db)[0] == want
+        assert calls == []
+        assert peek_column_store(int_star_db) is None
 
     def test_records_shard_timings(self, pool, int_star_db, int_star_query):
         plan = plain_plan(int_star_db, int_star_query)
