@@ -23,7 +23,11 @@ from repro.backend.plan import build_batch_plan
 from repro.bench import emit, emit_header, emit_kernel_cache, record_extra_info
 
 
-@pytest.mark.parametrize("name", ["favorita", "retailer"])
+# Retailer's 35-attribute kernel takes g++ tens of seconds and asserts
+# nothing favorita's does not, so it runs only under ``-m timing``.
+@pytest.mark.parametrize(
+    "name", ["favorita", pytest.param("retailer", marks=pytest.mark.timing)]
+)
 @pytest.mark.benchmark(group="compilation-overhead")
 def test_gcc_compile_time(benchmark, name, tmp_path):
     if not gxx_available():

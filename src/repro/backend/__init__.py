@@ -24,6 +24,7 @@ from repro.backend.base import (
     merge_group_results,
     merge_results,
     merge_vectors,
+    run_plan,
 )
 from repro.backend.cache import (
     CacheStats,
@@ -119,7 +120,7 @@ __all__ = [
     "get_backend", "kernel_source_dir",
     "load_kernel_source", "merge_group_results", "merge_results",
     "merge_vectors", "peek_column_store", "prepare_data",
-    "register_backend", "remap_group_partials",
+    "register_backend", "remap_group_partials", "run_plan",
     "reset_column_store_stats", "serve_group_state",
     "serve_vector_state", "shard_database",
     "shared_process_executor", "store_kernel_source", "tree_from_plan",

@@ -7,8 +7,9 @@ small interface:
   under a :class:`LayoutOptions` into a :class:`Kernel` — a reusable,
   cacheable artifact (generated source, compiled binary, interpreter
   closure, …);
-* :meth:`ExecutionBackend.execute` runs a kernel against a database and
-  returns the aggregate vector as a ``{spec.name: value}`` dictionary.
+* :meth:`ExecutionBackend.execute` runs a kernel against a database
+  (under optional δ predicates) and returns the aggregate vector as a
+  ``{spec.name: value}`` dictionary.
 
 Keeping the two phases separate is what makes the kernel cache
 (:mod:`repro.backend.cache`) and the sharded wrapper
@@ -79,17 +80,18 @@ class ExecutionBackend(ABC):
         """Lower the plan to a reusable kernel."""
 
     @abstractmethod
-    def execute(self, kernel: Kernel, db: Database) -> dict[str, float]:
-        """Run the kernel over ``db`` and return ``{name: value}``."""
-
-    def run_groupby(self, kernel: Kernel, db: Database, predicates=None) -> dict:
-        """Run a group-by kernel: ``{group value: [aggregate values]}``.
+    def execute(self, kernel: Kernel, db: Database, predicates=None) -> dict[str, float]:
+        """Run the kernel over ``db`` and return ``{name: value}``.
 
         ``predicates`` are per-relation δ conditions applied at
         execution time (they are not part of the kernel identity, so
-        one cached kernel serves every tree node).  Backends that can
-        lower group-by plans override this.
+        one cached kernel serves every δ).
         """
+
+    def run_groupby(self, kernel: Kernel, db: Database, predicates=None) -> dict:
+        """Run a group-by kernel: ``{group value: [aggregate values]}``,
+        under ``predicates`` like :meth:`execute`.  Backends that can
+        lower group-by plans override this."""
         raise NotImplementedError(
             f"backend {self.name!r} does not support group-by plans"
         )
@@ -128,6 +130,17 @@ class ExecutionBackend(ABC):
         """
         require_multi(kernel)
         return [self.run_groupby(member, db, predicates) for member in kernel.entry]
+
+
+def run_plan(backend: ExecutionBackend, kernel: Kernel, db: Database, predicates=None):
+    """One run of any kernel, the entry point picked by the plan's shape:
+    ``{name: value}`` for a plain plan, a group dict for a group-by, one
+    group dict per member for a :class:`MultiBatchPlan`."""
+    if isinstance(kernel.plan, MultiBatchPlan):
+        return backend.run_groupby_many(kernel, db, predicates)
+    if kernel.plan.is_groupby:
+        return backend.run_groupby(kernel, db, predicates)
+    return backend.execute(kernel, db, predicates)
 
 
 def require_plain(kernel: Kernel) -> None:

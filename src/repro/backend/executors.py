@@ -87,10 +87,11 @@ class EngineBackend(ExecutionBackend):
             entry=tree_from_plan(plan),
         )
 
-    def execute(self, kernel: Kernel, db: Database) -> dict[str, float]:
+    def execute(self, kernel: Kernel, db: Database, predicates=None) -> dict[str, float]:
         require_plain(kernel)
         return compute_batch_mode(
-            db, kernel.entry, kernel.plan.batch, self.aggregate_mode, query=self.query
+            db, kernel.entry, kernel.plan.batch, self.aggregate_mode,
+            query=self.query, predicates=predicates,
         )
 
     def run_groupby(self, kernel: Kernel, db: Database, predicates=None) -> dict:
@@ -149,23 +150,30 @@ class PythonKernelBackend(ExecutionBackend):
     # -- block protocol (plain kernels; also driven by ShardedBackend) ---
 
     def prepare(self, kernel: Kernel, db: Database, predicates=None, base: int = 0):
-        """Load the data in plan layout and build the views once:
-        ``(state, n_rows)``.  The full state serves any block range, so
-        ``base`` needs no special case; plain kernels take no δ
-        predicates."""
-        data = prepare_data(db, kernel.plan, kernel.layout)
+        """Load the δ-filtered data in plan layout and build the views
+        once: ``(state, n_rows)``.  The full state serves any block
+        range, so ``base`` needs no special case.
+
+        δ conditions are per-relation and record-local, so filtering the
+        input relations is equivalent to predicates in the scans (and
+        keeps the generated kernel predicate-free and cacheable).
+        """
+        data = prepare_data(apply_predicates(db, predicates), kernel.plan, kernel.layout)
         views = kernel.entry["build_views"](data)
         return (data, views), len(data[kernel.plan.root.relation])
 
     def run_block(self, kernel: Kernel, state, lo: int, hi: int) -> list[float]:
         data, views = state
-        return kernel.entry["scan_root"](data, views, lo, hi)
+        # A root δ leaves fewer rows than a sharded caller's unfiltered
+        # block layout covers: blocks past the end fold nothing.
+        n_rows = len(data[kernel.plan.root.relation])
+        return kernel.entry["scan_root"](data, views, min(lo, n_rows), min(hi, n_rows))
 
     # -- single-shot execution -------------------------------------------
 
-    def execute(self, kernel: Kernel, db: Database) -> dict[str, float]:
+    def execute(self, kernel: Kernel, db: Database, predicates=None) -> dict[str, float]:
         require_plain(kernel)
-        state, n_rows = self.prepare(kernel, db)
+        state, n_rows = self.prepare(kernel, db, predicates)
         partials = [
             self.run_block(kernel, state, lo, hi)
             for lo, hi in block_ranges(n_rows, self.block_size)
@@ -176,13 +184,8 @@ class PythonKernelBackend(ExecutionBackend):
 
     def run_groupby(self, kernel: Kernel, db: Database, predicates=None) -> dict:
         require_groupby(kernel)
-        # δ conditions are per-relation and record-local, so filtering
-        # the input relations is equivalent to predicates in the scans
-        # (and keeps the generated kernel predicate-free and cacheable).
-        db = apply_predicates(db, predicates)
-        data = prepare_data(db, kernel.plan, kernel.layout)
-        views = kernel.entry["build_views"](data)
-        return kernel.entry["scan_root"](data, views)
+        state, _ = self.prepare(kernel, db, predicates)
+        return kernel.entry["scan_root"](*state)
 
     def run_groupby_many(
         self, kernel: Kernel, db: Database, predicates=None
@@ -223,8 +226,9 @@ class CppKernelBackend(ExecutionBackend):
             },
         )
 
-    def execute(self, kernel: Kernel, db: Database) -> dict[str, float]:
+    def execute(self, kernel: Kernel, db: Database, predicates=None) -> dict[str, float]:
         require_plain(kernel)
+        db = apply_predicates(db, predicates)
         with tempfile.TemporaryDirectory() as tmp:
             data_path = Path(tmp) / "data.bin"
             write_binary_data(db, kernel.plan, data_path, kernel.layout)

@@ -811,28 +811,29 @@ class NumpyBackend(ExecutionBackend):
     # None calls another: the benchmark spans each of these names, and a
     # nested call would count its layer time twice.
 
-    def execute(self, kernel: Kernel, db: Database) -> dict[str, float]:
+    def execute(self, kernel: Kernel, db: Database, predicates=None) -> dict[str, float]:
         require_plain(kernel)
-        return self._fold(kernel, db)[0]
+        return self._fold(kernel, db, predicates)[0]
 
     def run_maintained(
-        self, kernel: Kernel, db: Database
+        self, kernel: Kernel, db: Database, predicates=None
     ) -> tuple[dict[str, float], DeltaVectorState]:
         """Full run that also returns the maintained state for deltas."""
         require_plain(kernel)
-        return self._fold(kernel, db)
+        return self._fold(kernel, db, predicates)
 
     def run_delta(
-        self, kernel: Kernel, db: Database, state: DeltaVectorState
+        self, kernel: Kernel, db: Database, state: DeltaVectorState, predicates=None
     ) -> tuple[dict[str, float], DeltaVectorState]:
         """Fold the appended root rows into a maintained plain result.
 
         The caller guarantees the only change since ``state`` was taken
         is a pure append to the plan's root relation (anything else —
-        non-root changes, multiplicity bumps — needs a full recompute).
+        non-root changes, multiplicity bumps — needs a full recompute),
+        and passes the ``predicates`` the state was built under.
         """
         require_plain(kernel)
-        return self._fold(kernel, db, prev=state)
+        return self._fold(kernel, db, predicates, state)
 
     def run_groupby(self, kernel: Kernel, db: Database, predicates=None) -> dict:
         require_groupby(kernel)

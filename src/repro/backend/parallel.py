@@ -180,12 +180,15 @@ class ShardedBackend(ExecutionBackend):
 
     # -- entry points -----------------------------------------------------
 
-    def execute(self, kernel: Kernel, db: Database) -> dict[str, float]:
+    def execute(self, kernel: Kernel, db: Database, predicates=None) -> dict[str, float]:
         if kernel.meta.get("supports_blocks"):
             require_plain(kernel)
-            return self._fold(kernel, db)[0]
+            return self._fold(kernel, db, predicates)[0]
         result = self._subdatabases(
-            kernel, db, lambda shard: self.inner.execute(kernel, shard), merge_results
+            kernel,
+            db,
+            lambda shard: self.inner.execute(kernel, shard, predicates),
+            merge_results,
         )
         return result or kernel.result_dict([0.0] * kernel.plan.num_aggregates)
 
@@ -206,16 +209,16 @@ class ShardedBackend(ExecutionBackend):
         probe = getattr(self.inner, "supports_delta", None)
         return callable(probe) and bool(probe())
 
-    def run_maintained(self, kernel: Kernel, db: Database):
+    def run_maintained(self, kernel: Kernel, db: Database, predicates=None):
         """Full sharded run that also returns the maintained state."""
         require_plain(kernel)
-        return self._fold(kernel, db)
+        return self._fold(kernel, db, predicates)
 
-    def run_delta(self, kernel: Kernel, db: Database, state):
+    def run_delta(self, kernel: Kernel, db: Database, state, predicates=None):
         """Fold the appended root rows into a maintained plain result,
         sharding the delta blocks like any other run."""
         require_plain(kernel)
-        return self._fold(kernel, db, prev=state)
+        return self._fold(kernel, db, predicates, state)
 
     def run_groupby_maintained(self, kernel: Kernel, db: Database, predicates=None):
         """Full sharded group-by run returning the maintained state."""

@@ -27,8 +27,13 @@ plans, batches and merges.
   *re-execs the spilled source* instead of regenerating it, which is
   the whole worker-bootstrap contract.  The parent's current spill
   directory travels with every task so per-test overrides propagate.
-* *Per task:* a fingerprint-sized descriptor (plan reference, shard
-  block ranges, δ predicates) and the result vector coming back.
+* *Per task:* a fingerprint-sized descriptor (plan reference, δ
+  predicates, and for block tasks the shard's block ranges) and the
+  result coming back.  A ``"run"`` task is one whole run, its entry
+  point picked by the plan's shape; a ``"blocks"`` task folds block
+  ranges through the backend's ``prepare`` / ``run_block`` protocol.
+  δ predicates are applied inside the backend's own scans (numpy
+  masks, filtered inputs elsewhere) — workers keep no filtered copies.
 
 **Bit identity.**  A worker executes the *same* prepared fold over the
 *same* block ranges the parent would have executed single-shot: data
@@ -62,7 +67,7 @@ from collections import OrderedDict
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from typing import Any, Sequence
 
-from repro.backend.base import ExecutionBackend
+from repro.backend.base import ExecutionBackend, run_plan
 from repro.backend.cache import KernelCache
 from repro.backend.layout import LayoutOptions
 from repro.backend.plan import BatchPlan, MultiBatchPlan
@@ -132,19 +137,11 @@ class _WorkerState:
         self.kernels = KernelCache(capacity=64)
         #: (db_token, fingerprint, pred_key) → prepared block state
         self.prepared: OrderedDict = OrderedDict()
-        #: (db_token, pred_key) → δ-filtered Database
-        self.filtered: OrderedDict = OrderedDict()
 
     def drop_database(self, token: int) -> None:
         self.dbs.pop(token, None)
-        for memo in (self.prepared, self.filtered):
-            for key in [k for k in memo if k[0] == token]:
-                memo.pop(key, None)
-
-    def memo_put(self, memo: OrderedDict, key, value, cap: int = 16) -> None:
-        memo[key] = value
-        while len(memo) > cap:
-            memo.popitem(last=False)
+        for key in [k for k in self.prepared if k[0] == token]:
+            self.prepared.pop(key, None)
 
 
 def _reset_forked_globals() -> None:
@@ -173,50 +170,27 @@ def _set_kernel_dir(kernel_dir: str | None) -> None:
         os.environ["IFAQ_KERNEL_CACHE_DIR"] = kernel_dir
 
 
-def _filtered_db(state: _WorkerState, token: int, predicates, pred_key):
-    from repro.aggregates.engine import apply_predicates
-
-    db = state.dbs[token]
-    if not predicates:
-        return db
-    key = (token, pred_key)
-    filtered = state.filtered.get(key)
-    if filtered is None:
-        filtered = apply_predicates(db, predicates)
-        state.memo_put(state.filtered, key, filtered)
-    return filtered
-
-
 def _run_task(state: _WorkerState, task: tuple) -> Any:
-    kind, btok, dtok, plan, layout = task[:5]
+    kind, btok, dtok, plan, layout, predicates = task[:6]
     backend = state.backends[btok]
     db = state.dbs[dtok]
     kernel = state.kernels.get_or_compile(backend, plan, layout)
-
-    if kind == "plain":
-        predicates, pred_key = task[5:]
-        return backend.execute(kernel, _filtered_db(state, dtok, predicates, pred_key))
-    if kind == "groupby":
-        (predicates,) = task[5:]
-        return backend.run_groupby(kernel, db, predicates)
-    if kind == "multi":
-        (predicates,) = task[5:]
-        return backend.run_groupby_many(kernel, db, predicates)
-
-    if kind == "blocks":
-        # A full preparation serves any block range — delta ranges too —
-        # so it is memoized per (database, kernel, δ) and reused.
-        predicates, pred_key, blocks = task[5:]
-        memo_key = (dtok, kernel.fingerprint, pred_key)
-        prepared = state.prepared.get(memo_key)
-        if prepared is None:
-            prepared, _n_rows = backend.prepare(kernel, db, predicates)
-            state.memo_put(state.prepared, memo_key, prepared)
-        return [
-            (idx, backend.run_block(kernel, prepared, lo, hi))
-            for idx, (lo, hi) in blocks
-        ]
-    raise ValueError(f"unknown process task kind {kind!r}")
+    if kind == "run":
+        return run_plan(backend, kernel, db, predicates)
+    # "blocks": a full preparation serves any block range — delta ranges
+    # too — so it is memoized per (database, kernel, δ) and reused.
+    pred_key, blocks = task[6:]
+    memo_key = (dtok, kernel.fingerprint, pred_key)
+    prepared = state.prepared.get(memo_key)
+    if prepared is None:
+        prepared, _n_rows = backend.prepare(kernel, db, predicates)
+        state.prepared[memo_key] = prepared
+        while len(state.prepared) > 16:
+            state.prepared.popitem(last=False)
+    return [
+        (idx, backend.run_block(kernel, prepared, lo, hi))
+        for idx, (lo, hi) in blocks
+    ]
 
 
 def _worker_main(conn, forked: bool) -> None:
@@ -440,21 +414,14 @@ class ProcessKernelExecutor(Executor):
         self,
         backend: ExecutionBackend,
         db: Database,
-        kind: str,
         plan: BatchPlan | MultiBatchPlan,
         layout: LayoutOptions,
         predicates=None,
-        pred_key: tuple = (),
     ) -> Future:
-        """One whole kernel run (``plain`` | ``groupby`` | ``multi``) on a
-        worker.  Resolves to ``(result, worker_seconds)``."""
-        if kind == "plain":
-            tail = (predicates, pred_key)
-        elif kind in ("groupby", "multi"):
-            tail = (predicates,)
-        else:
-            raise ValueError(f"unknown kernel-run kind {kind!r}")
-        return self._submit(backend, db, kind, plan, layout, tail)
+        """One whole kernel run on a worker, the entry point picked by the
+        plan's shape (:func:`~repro.backend.base.run_plan`).  Resolves
+        to ``(result, worker_seconds)``."""
+        return self._submit(backend, db, "run", plan, layout, (predicates,))
 
     def run_blocks(
         self,

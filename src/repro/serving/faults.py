@@ -277,9 +277,9 @@ class FaultyBackend(ExecutionBackend):
         self._apply("compile_multi")
         return self.inner.compile_multi(mplan, layout, members)
 
-    def execute(self, kernel: Kernel, db: Database) -> dict[str, float]:
+    def execute(self, kernel: Kernel, db: Database, predicates=None) -> dict[str, float]:
         self._apply("execute")
-        return self.inner.execute(kernel, db)
+        return self.inner.execute(kernel, db, predicates)
 
     def run_groupby(self, kernel: Kernel, db: Database, predicates=None) -> dict:
         self._apply("run_groupby")
@@ -289,17 +289,17 @@ class FaultyBackend(ExecutionBackend):
         self._apply("run_groupby_many")
         return self.inner.run_groupby_many(kernel, db, predicates)
 
-    def run_maintained(self, kernel: Kernel, db: Database):
+    def run_maintained(self, kernel: Kernel, db: Database, predicates=None):
         self._apply("execute")
-        return self.inner.run_maintained(kernel, db)
+        return self.inner.run_maintained(kernel, db, predicates)
 
     def run_groupby_maintained(self, kernel: Kernel, db: Database, predicates=None):
         self._apply("run_groupby")
         return self.inner.run_groupby_maintained(kernel, db, predicates)
 
-    def run_delta(self, kernel: Kernel, db: Database, state):
+    def run_delta(self, kernel: Kernel, db: Database, state, predicates=None):
         self._apply("run_delta")
-        return self.inner.run_delta(kernel, db, state)
+        return self.inner.run_delta(kernel, db, state, predicates)
 
     def run_groupby_delta(self, kernel: Kernel, db: Database, state, predicates=None):
         self._apply("run_groupby_delta")

@@ -39,12 +39,18 @@ compilation goes through the shared
 fingerprints compile once) and columnar state through the shared
 per-database :class:`~repro.backend.column_store.ColumnStore`.
 
+Every request runs down one path: :meth:`AggregateService._run` picks
+the backend entry point from the plan's shape (plain, group-by or
+fused multi-plan) and the run kind (delta fold onto a maintained
+state, maintained run, plain run), with the request's δ predicates
+pushed into the backend's scans — plain batches exactly like
+group-bys, so no filtered copy of a database is ever built.
+
 Long-lived services can additionally cap columnar memory with
 ``store_budget_bytes`` (or ``IFAQ_STORE_BUDGET_BYTES``): after each
 run, if the summed ``approx_bytes`` of every registration's column
-stores exceeds the budget, stores are trimmed LRU — δ-filtered copies
-first, then whole stores of the least-recently-used databases — and
-rebuilt lazily on next touch.
+store exceeds the budget, the stores of the least-recently-used
+databases are trimmed and rebuilt lazily on next touch.
 
 Registered databases also take **streaming ingest**
 (:meth:`AggregateService.ingest`): appended rows extend the shared
@@ -81,11 +87,13 @@ import os
 from collections import deque
 from time import perf_counter
 from concurrent.futures import Executor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.aggregates.engine import apply_predicates
+# Unused here, but the end-to-end benchmark spans this module attribute.
+from repro.aggregates.engine import apply_predicates  # noqa: F401
 from repro.aggregates.join_tree import JoinTreeNode, build_join_tree
+from repro.backend.base import run_plan
 from repro.backend.cache import KernelCache, default_kernel_cache
 from repro.backend.column_store import evict_column_store, peek_column_store
 from repro.backend.layout import LAYOUT_SORTED, LayoutOptions
@@ -192,7 +200,6 @@ class _View:
     half-updated one.
     """
 
-    kind: str  # "plain" | "groupby"
     plan: BatchPlan
     fingerprint: str
     pred_key: tuple
@@ -217,8 +224,6 @@ class _Registration:
     key_stats: dict = field(default_factory=dict)
     #: (batch, group_attr) → BatchPlan;  (batch, group_attrs) → MultiBatchPlan
     plans: dict = field(default_factory=dict)
-    #: predicate key → δ-filtered Database (plain-batch execution path)
-    filtered_dbs: dict = field(default_factory=dict)
     #: loop time of the last dispatched run (the store-trim LRU order)
     last_used: float = 0.0
     #: (fingerprint, pred_key) → maintained materialized view
@@ -245,15 +250,7 @@ class _Registration:
         """
         for key, view in list(self.views.items()):
             if view.state is not None:
-                self.views[key] = _View(
-                    kind=view.kind,
-                    plan=view.plan,
-                    fingerprint=view.fingerprint,
-                    pred_key=view.pred_key,
-                    predicates=view.predicates,
-                    result=view.result,
-                    state=None,
-                )
+                self.views[key] = replace(view, state=None)
 
 
 @dataclass
@@ -261,7 +258,6 @@ class _Inflight:
     """One deduplicated unit of work and the waiters attached to it."""
 
     key: tuple
-    kind: str  # "plain" | "groupby" | "multi"
     plan: BatchPlan | MultiBatchPlan
     fingerprint: str
     registration: _Registration
@@ -269,9 +265,6 @@ class _Inflight:
     pred_key: tuple
     future: asyncio.Future
     enqueued: float
-    #: maintained delta state captured by the run (thread path only;
-    #: process-path runs leave it None and ingest re-establishes state)
-    view_state: Any = None
     #: waiters currently attached (the creator plus coalesced joiners);
     #: decremented when a waiter's deadline expires or it is cancelled
     waiters: int = 1
@@ -282,14 +275,19 @@ class _Inflight:
     abandoned: bool = False
 
 
-def _copy_result(kind: str, result):
+def _copy_result(plan: BatchPlan | MultiBatchPlan, result):
     """A private copy per waiter, so one client mutating its response
     cannot corrupt another's (values are shared floats — bit-identical)."""
-    if kind == "plain":
-        return dict(result)
-    if kind == "groupby":
+    if isinstance(plan, MultiBatchPlan):
+        return {attr: {k: list(v) for k, v in groups.items()} for attr, groups in result.items()}
+    if plan.is_groupby:
         return {k: list(v) for k, v in result.items()}
-    return {attr: {k: list(v) for k, v in groups.items()} for attr, groups in result.items()}
+    return dict(result)
+
+
+def _fusable(entry: _Inflight) -> bool:
+    """Single group-by entries fuse; plain and multi entries run alone."""
+    return not isinstance(entry.plan, MultiBatchPlan) and entry.plan.is_groupby
 
 
 class AggregateService:
@@ -524,8 +522,6 @@ class AggregateService:
             return False
         if drop_column_store:
             evict_column_store(reg.db)
-            for filtered in reg.filtered_dbs.values():
-                evict_column_store(filtered)
         if self._process_executor is not None:
             # Workers drop their pickled copy with their next task.
             self._process_executor.evict_database(reg.db)
@@ -582,7 +578,7 @@ class AggregateService:
         if deadline is None:
             deadline = self.default_deadline
         deadline_at = loop.time() + deadline if deadline is not None else None
-        kind, plan = self._plan_for(reg, request)
+        plan = self._plan_for(reg, request)
         fingerprint = plan.fingerprint(self.layout, self.backend.kernel_key)
         pred_key = predicate_key(request.predicates)
         # The registration generation keeps requests arriving after a
@@ -604,18 +600,17 @@ class AggregateService:
                 # current answer — no kernel run at all.
                 self.stats.view_hits += 1
                 reg.last_used = loop.time()
-                return _copy_result(kind, view.result) if self.copy_results else view.result
+                return _copy_result(plan, view.result) if self.copy_results else view.result
             existing = self._inflight.get(key)
             if existing is not None:
                 self.stats.coalesced += 1
                 fp_stats.coalesced += 1
                 existing.waiters += 1
-                return await self._await_entry(existing, kind, deadline_at, loop)
+                return await self._await_entry(existing, deadline_at, loop)
 
         await self._admit(reg, deadline_at, loop)
         entry = _Inflight(
             key=key,
-            kind=kind,
             plan=plan,
             fingerprint=fingerprint,
             registration=reg,
@@ -631,11 +626,9 @@ class AggregateService:
         task = asyncio.ensure_future(self._dispatch())
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
-        return await self._await_entry(entry, kind, deadline_at, loop)
+        return await self._await_entry(entry, deadline_at, loop)
 
-    async def _await_entry(
-        self, entry: _Inflight, kind: str, deadline_at: float | None, loop
-    ):
+    async def _await_entry(self, entry: _Inflight, deadline_at: float | None, loop):
         """Await one unit's future under the waiter's deadline.
 
         The future is shielded (it is shared by every coalesced
@@ -668,7 +661,7 @@ class AggregateService:
         except asyncio.CancelledError:
             self._detach_waiter(entry)
             raise
-        return _copy_result(kind, result) if self.copy_results else result
+        return _copy_result(entry.plan, result) if self.copy_results else result
 
     def _detach_waiter(self, entry: _Inflight) -> None:
         entry.waiters -= 1
@@ -734,9 +727,9 @@ class AggregateService:
         waits for running kernel executions to drain (queued ones hold
         at the gate), then — off the event loop — appends the rows,
         extends (pure append) or invalidates (key collisions) the
-        shared column store, drops the now-stale δ-filtered copies, and
-        refreshes every maintained view: incrementally via the
-        backend's delta protocol when the appended relation is the
+        shared column store, and refreshes every maintained view, plain
+        and group-by, with or without δ predicates: incrementally via
+        the backend's delta protocol when the appended relation is the
         view's plan root and a delta state exists, by full recompute
         otherwise.  Requests submitted while the writer holds the
         barrier either serve from a view (pre- or post-refresh object,
@@ -781,10 +774,6 @@ class AggregateService:
                 store.extend_relation(relation)
             else:
                 store.invalidate_relation(relation)
-        # δ-filtered copies are snapshots of the pre-ingest data.
-        for filtered in reg.filtered_dbs.values():
-            evict_column_store(filtered)
-        reg.filtered_dbs.clear()
         # Plan memos are kept: plans stay valid under appends, and a
         # stable plan keeps the fingerprint — and with it the view key
         # and every coalescing key — stable across ingests.
@@ -815,24 +804,15 @@ class AggregateService:
         also re-establishes the delta state for the next ingest.
         """
         for key, view in list(reg.views.items()):
-            kernel = self.kernel_cache.get_or_compile(
-                self.backend, view.plan, self.layout
-            )
             started = perf_counter()
             refreshed = None
             if (
                 pure_append
-                and self._delta_backend
                 and view.state is not None
                 and view.plan.root.relation == relation
             ):
                 try:
-                    if view.kind == "plain":
-                        refreshed = self.backend.run_delta(kernel, reg.db, view.state)
-                    else:
-                        refreshed = self.backend.run_groupby_delta(
-                            kernel, reg.db, view.state, view.predicates
-                        )
+                    refreshed = self._run(view.plan, reg.db, view.predicates, view.state)
                 except ValueError:
                     refreshed = None  # stale/foreign state: recompute
             if refreshed is not None:
@@ -840,59 +820,40 @@ class AggregateService:
                 report["delta_runs"] += 1
                 report["delta_seconds"] += perf_counter() - started
             else:
-                result, state = self._full_refresh(kernel, reg, view)
+                result, state = self._run(view.plan, reg.db, view.predicates)
                 report["full_recomputes"] += 1
                 report["full_seconds"] += perf_counter() - started
-            reg.views[key] = _View(
-                kind=view.kind,
-                plan=view.plan,
-                fingerprint=view.fingerprint,
-                pred_key=view.pred_key,
-                predicates=view.predicates,
-                result=result,
-                state=state,
-            )
+            reg.views[key] = replace(view, result=result, state=state)
 
-    def _full_refresh(self, kernel, reg: _Registration, view: _View):
-        """Recompute one view from scratch, capturing fresh delta state
-        when the backend supports maintained runs."""
-        if self._delta_backend:
-            if view.kind == "plain":
-                return self.backend.run_maintained(kernel, reg.db)
-            return self.backend.run_groupby_maintained(kernel, reg.db, view.predicates)
-        if view.kind == "plain":
-            return self.backend.execute(kernel, reg.db), None
-        return self.backend.run_groupby(kernel, reg.db, view.predicates), None
-
-    def _store_view(self, entry: _Inflight, result) -> None:
+    def _store_view(self, entry: _Inflight, result, state) -> None:
         """Cache one completed single-entry run as a maintained view.
 
-        Plain runs with δ predicates execute against a filtered *copy*
-        of the database, so they cannot be maintained in place; fused
-        and multi runs capture no delta state and are skipped too.
+        Plain and group-by results are kept with or without δ
+        predicates (the backend folds δ in its scans, so a delta run
+        under the same predicates maintains them in place); ``state``
+        is the run's maintained delta state, None where the run
+        captured none.  Fused and multi runs capture no state and are
+        skipped.
         """
-        if not self.coalesce or entry.kind == "multi":
-            return
-        if entry.kind == "plain" and entry.predicates:
+        if not self.coalesce or isinstance(entry.plan, MultiBatchPlan):
             return
         reg = entry.registration
         key = (entry.fingerprint, entry.pred_key)
         if key not in reg.views and len(reg.views) >= MAX_VIEWS_PER_DB:
             reg.views.pop(next(iter(reg.views)))
         reg.views[key] = _View(
-            kind=entry.kind,
             plan=entry.plan,
             fingerprint=entry.fingerprint,
             pred_key=entry.pred_key,
             predicates=entry.predicates,
             result=result,
-            state=entry.view_state,
+            state=state,
         )
 
     # -- planning -----------------------------------------------------------
 
-    def _plan_for(self, reg: _Registration, request: Request):
-        """Request → (kind, plan), memoized per registration.
+    def _plan_for(self, reg: _Registration, request: Request) -> BatchPlan | MultiBatchPlan:
+        """Request → plan, memoized per registration.
 
         Plans (and the distinct-key statistics ordering their children)
         are built once per (batch, group attribute) and reused by every
@@ -900,9 +861,9 @@ class AggregateService:
         fingerprint hash, not a planning pass.
         """
         if isinstance(request, AggregateRequest):
-            return "plain", self._single_plan(reg, request.batch, None)
+            return self._single_plan(reg, request.batch, None)
         if isinstance(request, GroupByRequest):
-            return "groupby", self._single_plan(reg, request.batch, request.group_attr)
+            return self._single_plan(reg, request.batch, request.group_attr)
         if isinstance(request, MultiGroupByRequest):
             memo_key = (request.batch, request.group_attrs)
             plan = reg.plans.get(memo_key)
@@ -914,7 +875,7 @@ class AggregateService:
                     ]
                 )
                 reg.plans[memo_key] = plan
-            return "multi", plan
+            return plan
         raise TypeError(
             f"unsupported request type {type(request).__name__}; expected "
             "AggregateRequest, GroupByRequest or MultiGroupByRequest"
@@ -954,11 +915,14 @@ class AggregateService:
             try:
                 if len(batch) == 1:
                     entry = batch[0]
-                    results = [await self._execute_entry(loop, entry)]
+                    result, state = await self._execute(loop, entry.plan, entry)
+                    if isinstance(entry.plan, MultiBatchPlan):
+                        result = dict(zip(entry.plan.group_attr, result))
+                    results = [result]
                     self.stats.fingerprint(entry.fingerprint).runs += 1
                 else:
                     mplan = MultiBatchPlan([entry.plan for entry in batch])
-                    results = await self._execute_fused_entry(loop, mplan, batch)
+                    results, state = await self._execute(loop, mplan, batch[0])
                     self.stats.fused_runs += 1
                     self.stats.fused_requests += len(batch)
                     # Fused work is attributed to the member request
@@ -992,7 +956,7 @@ class AggregateService:
                     # Views are stored before reader_exit, so an ingest
                     # waiting on the barrier sees them and keeps them
                     # fresh from its very first append.
-                    self._store_view(batch[0], results[0])
+                    self._store_view(batch[0], results[0], state)
             finally:
                 barrier.reader_exit()
                 for entry in batch:
@@ -1026,14 +990,14 @@ class AggregateService:
         first.started = True
         self._queue_release(first.registration)
         batch = [first]
-        if self.fuse and first.kind == "groupby":
+        if self.fuse and _fusable(first):
             keep: deque[_Inflight] = deque()
             for entry in self._pending:
                 if entry.abandoned:
                     self._discard(entry)
                 elif (
                     len(batch) < self.max_fuse
-                    and entry.kind == "groupby"
+                    and _fusable(entry)
                     and entry.registration is first.registration
                     and entry.pred_key == first.pred_key
                 ):
@@ -1130,105 +1094,66 @@ class AggregateService:
                 self.stats.degraded_runs += 1
             return result
 
-    async def _execute_entry(self, loop, entry: _Inflight):
-        async def process_call():
-            result = await self._execute_process(loop, entry.kind, entry.plan, entry)
-            if entry.kind == "multi":
-                return dict(zip(entry.plan.group_attr, result))
-            return result
+    async def _execute(self, loop, plan: BatchPlan | MultiBatchPlan, entry: _Inflight):
+        """Run ``plan`` over ``entry``'s database under its δ predicates,
+        resiliently: ``(result, maintained state | None)``.
 
-        return await self._run_resilient(
-            loop, process_call, lambda: self._execute_one(entry)
-        )
-
-    async def _execute_fused_entry(
-        self, loop, mplan: MultiBatchPlan, batch: list[_Inflight]
-    ) -> list:
-        return await self._run_resilient(
-            loop,
-            lambda: self._execute_process(loop, "multi", mplan, batch[0]),
-            lambda: self._execute_fused(mplan, batch),
-        )
-
-    async def _execute_process(self, loop, kind: str, plan, entry: _Inflight):
-        """One kernel run on a pool worker process.
-
-        The parent compiles first (off the event loop): for generated
-        backends that spills the source under ``IFAQ_KERNEL_CACHE_DIR``,
-        which is exactly what the worker's own compile warm-loads — the
-        worker re-execs the source instead of regenerating it — and it
-        keeps the service's kernel-cache counters meaningful in both
-        executor modes.
+        On the process path the parent compiles first (off the event
+        loop): for generated backends that spills the source under
+        ``IFAQ_KERNEL_CACHE_DIR``, which is exactly what the worker's
+        own compile warm-loads — the worker re-execs the source instead
+        of regenerating it — and it keeps the service's kernel-cache
+        counters meaningful in both executor modes.  Worker runs ship
+        no delta state back (a worker's group coding is its own); the
+        next ingest re-establishes it parent-side.
         """
-        await loop.run_in_executor(
-            None, self.kernel_cache.get_or_compile, self.backend, plan, self.layout
+        db = entry.registration.db
+
+        async def process_call():
+            await loop.run_in_executor(
+                None, self.kernel_cache.get_or_compile, self.backend, plan, self.layout
+            )
+            future = self._process_executor.run_kernel(
+                self.backend, db, plan, self.layout, entry.predicates
+            )
+            result, _worker_seconds = await asyncio.wrap_future(future)
+            return result, None
+
+        return await self._run_resilient(
+            loop, process_call, lambda: self._run(plan, db, entry.predicates)
         )
-        future = self._process_executor.run_kernel(
-            self.backend,
-            entry.registration.db,
-            kind,
-            plan,
-            self.layout,
-            predicates=entry.predicates,
-            pred_key=entry.pred_key,
-        )
-        result, _worker_seconds = await asyncio.wrap_future(future)
-        return result
 
-    # -- blocking execution (worker threads) --------------------------------
+    # -- blocking execution (worker threads, ingest) ------------------------
 
-    def _execute_one(self, entry: _Inflight):
-        kernel = self.kernel_cache.get_or_compile(self.backend, entry.plan, self.layout)
-        reg = entry.registration
-        if entry.kind == "plain":
-            # execute() takes no predicates: fold δ into the data once
-            # (record-local, so equivalent to applying them in-scan).
-            # The filtered database is memoized per predicate key so a
-            # stream of equal-δ plain requests reuses one filtered copy
-            # — and, on columnar backends, one ColumnStore — instead of
-            # rebuilding per request.
-            db = reg.db
-            if entry.predicates:
-                db = reg.filtered_dbs.get(entry.pred_key)
-                if db is None:
-                    db = apply_predicates(reg.db, entry.predicates)
-                    while len(reg.filtered_dbs) >= 32:  # bound the memo
-                        try:  # worker threads race here; losing is benign
-                            old = reg.filtered_dbs.pop(next(iter(reg.filtered_dbs)))
-                        except (KeyError, StopIteration):
-                            break
-                        evict_column_store(old)
-                    reg.filtered_dbs[entry.pred_key] = db
-                return self.backend.execute(kernel, db)
-            if self._delta_backend and self.coalesce:
-                result, entry.view_state = self.backend.run_maintained(kernel, db)
-                return result
-            return self.backend.execute(kernel, db)
-        if entry.kind == "groupby":
-            if self._delta_backend and self.coalesce:
-                result, entry.view_state = self.backend.run_groupby_maintained(
-                    kernel, reg.db, entry.predicates
-                )
-                return result
-            return self.backend.run_groupby(kernel, reg.db, entry.predicates)
-        results = self.backend.run_groupby_many(kernel, reg.db, entry.predicates)
-        return dict(zip(entry.plan.group_attr, results))
+    def _run(self, plan: BatchPlan | MultiBatchPlan, db: Database, predicates, prev=None):
+        """One blocking run of ``plan``: ``(result, maintained state | None)``.
 
-    def _execute_fused(self, mplan: MultiBatchPlan, batch: list[_Inflight]) -> list:
-        kernel = self.kernel_cache.get_or_compile(self.backend, mplan, self.layout)
-        reg = batch[0].registration
-        return self.backend.run_groupby_many(kernel, reg.db, batch[0].predicates)
+        A delta fold onto ``prev`` when given; otherwise a maintained
+        run when the backend speaks the delta protocol (the state lets
+        the next ingest fold only the appended rows); otherwise a plain
+        run.  The plan's shape picks the backend method.
+        """
+        kernel = self.kernel_cache.get_or_compile(self.backend, plan, self.layout)
+        if isinstance(plan, MultiBatchPlan) or (prev is None and not self._delta_backend):
+            return run_plan(self.backend, kernel, db, predicates), None
+        if plan.is_groupby:
+            if prev is not None:
+                return self.backend.run_groupby_delta(kernel, db, prev, predicates)
+            return self.backend.run_groupby_maintained(kernel, db, predicates)
+        if prev is not None:
+            return self.backend.run_delta(kernel, db, prev, predicates)
+        return self.backend.run_maintained(kernel, db, predicates)
 
     # -- column-store budget -------------------------------------------------
 
     def _maybe_trim_stores(self) -> None:
         """Trim column stores LRU when over ``store_budget_bytes``.
 
-        δ-filtered copies go first (coldest registration first), then
-        whole stores of every registration but the most recently used.
-        Trimmed stores rebuild lazily on the next request touching them
-        — the backend's prepared-layout cache revalidates store
-        identity, so a trimmed store is never served stale.
+        Whole stores go, coldest registration first, never the most
+        recently used one.  Trimmed stores rebuild lazily on the next
+        request touching them — the backend's prepared-layout cache
+        revalidates store identity, so a trimmed store is never served
+        stale.
         """
         budget = self.store_budget_bytes
         if not budget or not self._dbs:
@@ -1239,20 +1164,8 @@ class AggregateService:
             return store.stats()["approx_bytes"] if store is not None else 0
 
         regs = sorted(self._dbs.values(), key=lambda r: r.last_used)
-        total = sum(
-            _bytes(reg.db) + sum(_bytes(f) for f in reg.filtered_dbs.values())
-            for reg in regs
-        )
-        for reg in regs:  # pass 1: filtered copies, coldest first
-            if total <= budget:
-                return
-            for filtered in reg.filtered_dbs.values():
-                freed = _bytes(filtered)
-                if evict_column_store(filtered) and freed:
-                    total -= freed
-                    self.stats.store_trims += 1
-            reg.filtered_dbs.clear()
-        for reg in regs[:-1]:  # pass 2: whole stores, never the hottest
+        total = sum(_bytes(reg.db) for reg in regs)
+        for reg in regs[:-1]:  # never the hottest
             if total <= budget:
                 return
             freed = _bytes(reg.db)

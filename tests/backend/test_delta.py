@@ -36,6 +36,8 @@ FEATURES = ["cityf", "price"]
 LABEL = "units"
 
 PRICE_PREDICATES = {"I": [Condition("price", "<=", 25.0)]}
+#: a root (S) predicate cutting both the fixture's and the appended rows
+UNITS_PREDICATES = {"S": [Condition("units", ">", 5.0), Condition("units", "<=", 1030.0)]}
 
 
 @pytest.fixture(scope="module")
@@ -62,9 +64,9 @@ def sale_rows(start, count):
     ]
 
 
-def fresh_plain(kernel, db):
+def fresh_plain(kernel, db, predicates=None):
     """From-scratch recompute: a deep copy gets its own fresh store."""
-    return NumpyBackend(block_size=16).execute(kernel, copy.deepcopy(db))
+    return NumpyBackend(block_size=16).execute(kernel, copy.deepcopy(db), predicates)
 
 
 def fresh_groupby(kernel, db, predicates=None):
@@ -194,6 +196,19 @@ class TestNumpyDelta:
             kernel, int_star_db, state, PRICE_PREDICATES
         )
         assert result == fresh_groupby(kernel, int_star_db, PRICE_PREDICATES)
+
+    @pytest.mark.parametrize(
+        "predicates", [PRICE_PREDICATES, UNITS_PREDICATES], ids=["dimension", "root"]
+    )
+    def test_plain_delta_with_predicates(self, int_star_db, int_star_query, predicates):
+        backend = NumpyBackend(block_size=16)
+        kernel = backend.compile_plan(plain_plan(int_star_db, int_star_query), LAYOUT_SORTED)
+        result, state = backend.run_maintained(kernel, int_star_db, predicates)
+        assert result == backend.execute(kernel, int_star_db, predicates)
+        int_star_db.append_rows("S", sale_rows(0, 90))
+        column_store(int_star_db).extend_relation("S")
+        result, state = backend.run_delta(kernel, int_star_db, state, predicates)
+        assert result == fresh_plain(kernel, int_star_db, predicates)
 
     def test_foreign_state_rejected(self, int_star_db, int_star_query):
         backend = NumpyBackend(block_size=16)
@@ -330,6 +345,23 @@ class TestShardedDelta:
             kernel, int_star_db, state, PRICE_PREDICATES
         )
         assert result == fresh_groupby(kernel, int_star_db, PRICE_PREDICATES)
+
+    @pytest.mark.parametrize(
+        "predicates", [PRICE_PREDICATES, UNITS_PREDICATES], ids=["dimension", "root"]
+    )
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_plain_delta_with_predicates(
+        self, pool, int_star_db, int_star_query, mode, predicates
+    ):
+        inner = NumpyBackend(block_size=16)
+        kernel = inner.compile_plan(plain_plan(int_star_db, int_star_query), LAYOUT_SORTED)
+        sharded = ShardedBackend(inner=inner, shards=3, mode=mode, executor=pool)
+        result, state = sharded.run_maintained(kernel, int_star_db, predicates)
+        assert result == fresh_plain(kernel, int_star_db, predicates)
+        int_star_db.append_rows("S", sale_rows(0, 75))
+        column_store(int_star_db).extend_relation("S")
+        result, state = sharded.run_delta(kernel, int_star_db, state, predicates)
+        assert result == fresh_plain(kernel, int_star_db, predicates)
 
 
 def empty_root(db, plan):

@@ -18,13 +18,43 @@ from repro.aggregates import (
     compute_groupby_tree,
     variance_batch,
 )
+from repro.aggregates.engine import apply_predicates, compute_batch_mode
 from repro.backend import (
+    CppKernelBackend,
+    EngineBackend,
     KernelCache,
+    NumpyBackend,
+    ProcessKernelExecutor,
+    PythonKernelBackend,
     ShardedBackend,
     build_batch_plan,
     get_backend,
 )
 from repro.backend.layout import LAYOUT_ARRAYS, LAYOUT_SORTED
+from repro.ml.regression_tree import Condition
+
+#: δ predicates for the plain twins: on a dimension and on the root (S)
+PLAIN_PREDICATES = {
+    "dimension": {"I": [Condition("price", "<=", 25.0)]},
+    "root": {"S": [Condition("units", ">", 5.0)]},
+}
+
+
+@pytest.fixture(scope="module")
+def pool():
+    executor = ProcessKernelExecutor(workers=2)
+    yield executor
+    executor.shutdown()
+
+
+def _single_backend(name):
+    # Small blocks so the 200-row fixture spans several of them.
+    return {
+        "engine": EngineBackend,
+        "python": lambda: PythonKernelBackend(block_size=16),
+        "numpy": lambda: NumpyBackend(block_size=16),
+        "cpp": CppKernelBackend,
+    }[name]()
 
 
 def _tree(db, query):
@@ -123,6 +153,45 @@ class TestBackendsAgree:
             kernel_cache=KernelCache(),
         )
         assert_groups_close(got, want)
+
+    @pytest.mark.parametrize("where", sorted(PLAIN_PREDICATES))
+    @pytest.mark.parametrize(
+        "backend_name",
+        ["engine", "python", "numpy", pytest.param("cpp", marks=pytest.mark.cpp)],
+    )
+    def test_plain_predicates_push_into_scans(
+        self, int_star_db, int_star_query, backend_name, where
+    ):
+        """The plain twin: ``execute`` takes δ predicates like
+        ``run_groupby``.  Filtering backends equal their own run on the
+        filtered database; numpy masks in-scan, so blocks keep their
+        unfiltered boundaries and root predicates may move the last bits."""
+        predicates = PLAIN_PREDICATES[where]
+        tree = _tree(int_star_db, int_star_query)
+        plan = build_batch_plan(int_star_db, tree, _batch())
+        backend = _single_backend(backend_name)
+        kernel = backend.compile_plan(plan, LAYOUT_SORTED)
+        got = backend.execute(kernel, int_star_db, predicates)
+        want = compute_batch_mode(int_star_db, tree, _batch(), predicates=predicates)
+        assert set(got) == set(want)
+        assert all(math.isclose(got[k], want[k], rel_tol=1e-9) for k in want)
+        if backend_name != "numpy":
+            filtered = apply_predicates(int_star_db, predicates)
+            assert got == backend.execute(kernel, filtered)
+
+    @pytest.mark.parametrize("where", sorted(PLAIN_PREDICATES))
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("inner", ["python", "numpy"])
+    def test_plain_predicates_sharded(
+        self, pool, int_star_db, int_star_query, inner, mode, where
+    ):
+        predicates = PLAIN_PREDICATES[where]
+        plan = build_batch_plan(int_star_db, _tree(int_star_db, int_star_query), _batch())
+        single = _single_backend(inner)
+        kernel = single.compile_plan(plan, LAYOUT_SORTED)
+        sharded = ShardedBackend(inner=single, shards=2, mode=mode, executor=pool)
+        got = sharded.execute(kernel, int_star_db, predicates)
+        assert got == single.execute(kernel, int_star_db, predicates)
 
     @pytest.mark.parametrize("inner", ["engine", "python", "numpy"])
     @pytest.mark.parametrize("shards", [1, 2, 5])

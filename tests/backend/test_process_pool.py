@@ -79,7 +79,7 @@ class TestRunKernel:
         kernel = backend.compile_plan(plan, LAYOUT_SORTED)
         want = backend.execute(kernel, int_star_db)
         got, seconds = pool.run_kernel(
-            backend, int_star_db, "plain", plan, LAYOUT_SORTED
+            backend, int_star_db, plan, LAYOUT_SORTED
         ).result()
         assert got == want
         assert seconds >= 0
@@ -95,11 +95,9 @@ class TestRunKernel:
         got, _ = pool.run_kernel(
             backend,
             int_star_db,
-            "groupby",
             plan,
             LAYOUT_SORTED,
             predicates=predicates,
-            pred_key=("I", "price") if predicates else (),
         ).result()
         assert got == want
 
@@ -114,11 +112,11 @@ class TestRunKernel:
         kernel = backend.compile_plan(plan, LAYOUT_SORTED)
         want = backend.execute(kernel, int_star_db)
         first, _ = pool.run_kernel(
-            backend, int_star_db, "plain", plan, LAYOUT_SORTED
+            backend, int_star_db, plan, LAYOUT_SORTED
         ).result()
         pool.evict_database(int_star_db)
         second, _ = pool.run_kernel(
-            backend, int_star_db, "plain", plan, LAYOUT_SORTED
+            backend, int_star_db, plan, LAYOUT_SORTED
         ).result()
         assert first == want == second
 
@@ -240,7 +238,7 @@ class TestFallbackAndErrors:
         backend = LockedBackend()
         with pytest.raises(TaskNotPicklable):
             pool.run_kernel(
-                backend, int_star_db, "plain", plan, LAYOUT_SORTED
+                backend, int_star_db, plan, LAYOUT_SORTED
             ).result()
 
     def test_worker_exception_keeps_type_and_carries_traceback(
@@ -249,7 +247,7 @@ class TestFallbackAndErrors:
         plan = groupby_plan(int_star_db, int_star_query)
         with pytest.raises(ValueError, match="exploded in worker") as info:
             pool.run_kernel(
-                ExplodingBackend(), int_star_db, "groupby", plan, LAYOUT_SORTED
+                ExplodingBackend(), int_star_db, plan, LAYOUT_SORTED
             ).result()
         assert isinstance(info.value.__cause__, WorkerError)
         assert "exploded in worker" in str(info.value.__cause__)
@@ -265,11 +263,11 @@ class TestFallbackAndErrors:
             one._handles[0].process.join(timeout=5)
             with pytest.raises(WorkerError):
                 one.run_kernel(
-                    backend, int_star_db, "plain", plan, LAYOUT_SORTED
+                    backend, int_star_db, plan, LAYOUT_SORTED
                 ).result()
             # The dead slot was respawned in place: the pool still works.
             got, _ = one.run_kernel(
-                backend, int_star_db, "plain", plan, LAYOUT_SORTED
+                backend, int_star_db, plan, LAYOUT_SORTED
             ).result()
             assert got == want
         finally:
@@ -278,13 +276,6 @@ class TestFallbackAndErrors:
     def test_submit_is_not_a_generic_executor(self, pool):
         with pytest.raises(NotImplementedError):
             pool.submit(sum, [1, 2])
-
-    def test_bad_kind_rejected(self, pool, int_star_db, int_star_query):
-        plan = plain_plan(int_star_db, int_star_query)
-        with pytest.raises(ValueError, match="kind"):
-            pool.run_kernel(
-                NumpyBackend(), int_star_db, "nonsense", plan, LAYOUT_SORTED
-            )
 
 
 class TestSpilledSourceBootstrap:
@@ -303,7 +294,7 @@ class TestSpilledSourceBootstrap:
         one = ProcessKernelExecutor(workers=1)
         try:
             got, _ = one.run_kernel(
-                backend, int_star_db, "plain", plan, LAYOUT_SORTED
+                backend, int_star_db, plan, LAYOUT_SORTED
             ).result()
             assert got == want
         finally:
@@ -371,7 +362,7 @@ class TestShutdownEscalation:
         plan = groupby_plan(int_star_db, int_star_query)
         one = ProcessKernelExecutor(workers=1, shutdown_grace=0.2)
         future = one.run_kernel(
-            SleepingBackend(), int_star_db, "groupby", plan, LAYOUT_SORTED
+            SleepingBackend(), int_star_db, plan, LAYOUT_SORTED
         )
         deadline = time.monotonic() + 10
         while not one._free.empty() and time.monotonic() < deadline:
@@ -394,10 +385,10 @@ class TestShutdownEscalation:
             one.kill_worker(0)
             with pytest.raises(WorkerError):
                 one.run_kernel(
-                    backend, int_star_db, "plain", plan, LAYOUT_SORTED
+                    backend, int_star_db, plan, LAYOUT_SORTED
                 ).result()
             got, _ = one.run_kernel(
-                backend, int_star_db, "plain", plan, LAYOUT_SORTED
+                backend, int_star_db, plan, LAYOUT_SORTED
             ).result()
             assert got == want  # respawned in place, bit-identical
         finally:

@@ -24,6 +24,7 @@ from repro.backend import (
     ProcessKernelExecutor,
     WorkerError,
     build_batch_plan,
+    run_plan,
 )
 from repro.aggregates import build_join_tree
 from repro.serving import (
@@ -100,18 +101,12 @@ class InlinePool:
         self.cache = KernelCache()
         self.calls = 0
 
-    def run_kernel(self, backend, db, kind, plan, layout, predicates=None, pred_key=()):
+    def run_kernel(self, backend, db, plan, layout, predicates=None):
         self.calls += 1
         future: Future = Future()
         try:
             kernel = self.cache.get_or_compile(backend, plan, layout)
-            if kind == "groupby":
-                result = backend.run_groupby(kernel, db, predicates)
-            elif kind == "multi":
-                result = backend.run_groupby_many(kernel, db, predicates)
-            else:
-                result = backend.execute(kernel, db)
-            future.set_result((result, 0.0))
+            future.set_result((run_plan(backend, kernel, db, predicates), 0.0))
         except BaseException as exc:  # noqa: BLE001 — mirror the pool
             future.set_exception(exc)
         return future

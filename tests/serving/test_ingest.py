@@ -23,7 +23,6 @@ from repro.backend import (
     KernelCache,
     NumpyBackend,
     build_batch_plan,
-    peek_column_store,
 )
 from repro.backend.layout import LAYOUT_SORTED
 from repro.ml.regression_tree import Condition
@@ -38,6 +37,8 @@ FEATURES = ["cityf", "price"]
 LABEL = "units"
 
 PRICE_PREDICATES = {"I": [Condition("price", "<=", 25.0)]}
+#: a root (S) predicate cutting both the fixture's and the appended rows
+UNITS_PREDICATES = {"S": [Condition("units", ">", 5.0), Condition("units", "<=", 1010.0)]}
 
 
 def make_service(**kwargs):
@@ -77,8 +78,10 @@ class Oracle:
             )
         return self.backend.compile_plan(plan, LAYOUT_SORTED)
 
-    def plain(self, batch):
-        return self.backend.execute(self._kernel(batch, None), copy.deepcopy(self.db))
+    def plain(self, batch, predicates=None):
+        return self.backend.execute(
+            self._kernel(batch, None), copy.deepcopy(self.db), predicates
+        )
 
     def groupby(self, batch, attr, predicates=None):
         return self.backend.run_groupby(
@@ -250,39 +253,33 @@ class TestIngestMechanics:
         assert new == oracle.groupby(batch, "units")
         assert old != new
 
-    def test_ingest_drops_filtered_copies(self, int_star_db, int_star_query):
-        batch = variance_batch(LABEL)
-        oracle = Oracle(int_star_db, int_star_query)
-        req = AggregateRequest("star", batch, predicates=PRICE_PREDICATES)
+    def test_filtered_plain_view_folds_each_ingest(self, int_star_db, int_star_query):
+        """Plain δ results are maintained views like group-bys: every
+        ingest into the root folds only the appended rows, under a
+        dimension predicate and a root predicate alike."""
+        batch = covar_batch(FEATURES, label=LABEL)
+        offset = 0  # appended rows stay distinct across both rounds
+        for predicates in (PRICE_PREDICATES, UNITS_PREDICATES):
+            oracle = Oracle(int_star_db, int_star_query)
+            req = AggregateRequest("star", batch, predicates=predicates)
 
-        async def run():
-            # Thread executor: asserts on parent-side filtered memos.
-            async with make_service(executor="thread") as svc:
-                svc.register_database("star", int_star_db)
-                await svc.submit(req)
-                reg = svc._dbs["star"]
-                assert reg.filtered_dbs
-                filtered = next(iter(reg.filtered_dbs.values()))
-                await svc.ingest("star", "S", sale_rows(0, 12))
-                assert not reg.filtered_dbs  # memo cleared...
-                assert peek_column_store(filtered) is None  # ...store evicted
-                return await svc.submit(req)
+            async def run():
+                # Thread executor: worker-process runs ship no delta state.
+                async with make_service(executor="thread") as svc:
+                    svc.register_database("star", int_star_db)
+                    await svc.submit(req)
+                    reports = [
+                        await svc.ingest("star", "S", sale_rows(offset, 17)),
+                        await svc.ingest("star", "S", sale_rows(offset + 17, 40)),
+                    ]
+                    return reports, await svc.submit(req), svc.stats.view_hits
 
-        # δ-filtered plain results are recomputed, not maintained; they
-        # must still reflect the appended rows.
-        result = serve(run())
-        import copy as _copy
-
-        from repro.aggregates.engine import apply_predicates
-
-        clean = apply_predicates(_copy.deepcopy(int_star_db), PRICE_PREDICATES)
-        kernel = oracle.backend.compile_plan(
-            oracle.plans[(batch, None)]
-            if (batch, None) in oracle.plans
-            else build_batch_plan(int_star_db, oracle.tree, batch),
-            LAYOUT_SORTED,
-        )
-        assert result == oracle.backend.execute(kernel, clean)
+            reports, served, view_hits = serve(run())
+            offset += 57
+            assert [r["delta_runs"] for r in reports] == [1, 1]
+            assert all(r["full_recomputes"] == 0 for r in reports)
+            assert view_hits == 1
+            assert served == oracle.plain(batch, predicates)
 
     def test_version_vector_keys_prevent_stale_coalescing(
         self, int_star_db, int_star_query

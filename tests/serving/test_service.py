@@ -38,9 +38,9 @@ class CountingNumpyBackend(NumpyBackend):
         self.groupby_calls = 0
         self.groupby_many_calls = 0
 
-    def execute(self, kernel, db):
+    def execute(self, kernel, db, predicates=None):
         self.execute_calls += 1
-        return super().execute(kernel, db)
+        return super().execute(kernel, db, predicates)
 
     def run_groupby(self, kernel, db, predicates=None):
         self.groupby_calls += 1
@@ -52,9 +52,9 @@ class CountingNumpyBackend(NumpyBackend):
 
     # Maintained runs are kernel executions too (the service prefers
     # them when the backend speaks the delta protocol).
-    def run_maintained(self, kernel, db):
+    def run_maintained(self, kernel, db, predicates=None):
         self.execute_calls += 1
-        return super().run_maintained(kernel, db)
+        return super().run_maintained(kernel, db, predicates)
 
     def run_groupby_maintained(self, kernel, db, predicates=None):
         self.groupby_calls += 1
@@ -586,15 +586,17 @@ class TestProcessExecutor:
 class TestStoreBudget:
     """Automatic ColumnStore LRU trimming under a byte budget."""
 
-    def test_over_budget_trims_coldest_store(self, int_star_db):
+    def test_over_budget_trims_coldest_store(self, int_star_db, int_star_query):
         from repro.db import Database
 
         batch = variance_batch(LABEL)
         twin_db = Database(dict(int_star_db.relations))
 
         async def run():
+            # coalesce=False keeps no views, so the repeat request below
+            # really runs against "a" instead of hitting its view.
             async with make_service(
-                executor="thread", store_budget_bytes=1
+                executor="thread", store_budget_bytes=1, coalesce=False
             ) as svc:
                 svc.register_database("a", int_star_db)
                 svc.register_database("b", twin_db)
@@ -605,14 +607,20 @@ class TestStoreBudget:
                 assert peek_column_store(int_star_db) is None
                 assert peek_column_store(twin_db) is not None
                 trims = svc.stats.store_trims
-                # Trimmed stores rebuild lazily and serve bit-identical
-                # results.
                 again = await svc.submit(GroupByRequest("a", batch, "price"))
+                # The run rebuilt "a"'s store lazily; "a" is now the hot
+                # registration, so the post-run trim kept it.
+                assert peek_column_store(int_star_db) is not None
+                assert svc.stats.view_hits == 0
                 return first, again, trims
 
         first, again, trims = serve(run())
         assert trims >= 1
-        assert first == again
+        fresh = compute_groupby(
+            int_star_db, join_tree(int_star_db, int_star_query), batch, "price",
+            backend="numpy", kernel_cache=KernelCache(),
+        )
+        assert first == again == fresh
 
     def test_no_budget_means_no_trims(self, int_star_db):
         batch = variance_batch(LABEL)
