@@ -28,8 +28,10 @@ from repro.opt import high_level_optimize
 #: scaled from the paper's 2k–14k tuples / 10–130 iterations
 TUPLE_POINTS = (500, 1500, 3000)
 ITER_POINTS = (5, 25, 50)
-FIXED_ITERATIONS = 20
-FIXED_TUPLES = 1500
+#: the held-fixed axis of each plot, kept small: the unoptimized
+#: program's cost grows with tuples × iterations
+FIXED_ITERATIONS = 2
+FIXED_TUPLES = 100
 
 _FEATURES = ["onpromotion", "perishable", "cluster", "transactions", "oilprice"]
 
@@ -117,7 +119,7 @@ def test_fig6_shape_claims(benchmark):
     def measure():
         counts = {}
         for iterations in (5, 50):
-            ds = subset_db(800)
+            ds = subset_db(150)
             prog, opt = make_programs(ds, iterations)
             env = env_with_q(ds)
             for label, program in (("unopt", prog), ("opt", opt)):

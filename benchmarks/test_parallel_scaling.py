@@ -5,9 +5,7 @@ Each worker count times ``mode="process"`` (a dedicated
 compiled kernel and asserts bit identity with single-shot execution.
 Skips on single-core hosts — there the pool can only lose, and the
 number measured would be pickling overhead, not GIL escape (see
-``require_multicore``).  The standalone ``parallel_scaling.py`` script
-is the CI artifact emitter; this test keeps the same claim under
-``pytest benchmarks/ --benchmark-only``.
+``require_multicore``).
 """
 
 import pytest

@@ -25,7 +25,6 @@ from repro.aggregates.extract import (
     match_aggregate,
     remove_dead_inits,
 )
-from repro.aggregates.ifaq_views import merged_views_expr, views_per_aggregate_expr
 from repro.aggregates.join_tree import (
     JoinTreeError,
     JoinTreeNode,
@@ -40,6 +39,5 @@ __all__ = [
     "compute_batch_mode", "compute_batch_pushdown", "compute_batch_trie",
     "compute_groupby", "compute_groupby_many", "compute_groupby_tree",
     "covar_batch", "extract_aggregates", "extract_program_aggregates",
-    "match_aggregate", "merged_views_expr", "remove_dead_inits", "reroot",
-    "variance_batch", "views_per_aggregate_expr",
+    "match_aggregate", "remove_dead_inits", "reroot", "variance_batch",
 ]

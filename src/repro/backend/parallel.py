@@ -84,6 +84,10 @@ from repro.db.relation import Relation
 #: Default shard count: one per core (the hardware-saturation target).
 DEFAULT_SHARDS = max(1, os.cpu_count() or 1)
 
+#: Per-shard WorkerError resubmissions tolerated on the process block
+#: path before the failure propagates.
+SHARD_RETRIES = 2
+
 
 def shard_database(db: Database, root_relation: str, shards: int) -> list[Database]:
     """Split ``root_relation`` into ≤ ``shards`` contiguous sub-relations.
@@ -135,10 +139,6 @@ class ShardedBackend(ExecutionBackend):
     #: process pool override; defaults to the shared process-wide pool
     executor: object | None = field(default=None, repr=False)
     context: dict = field(default_factory=dict)
-
-    #: per-shard WorkerError resubmissions tolerated on the process
-    #: block path before the failure propagates
-    max_retries: int = 2
 
     #: wall-clock seconds per shard of the most recent execution
     last_shard_seconds: list[float] = field(default_factory=list, repr=False)
@@ -334,7 +334,7 @@ class ShardedBackend(ExecutionBackend):
                     # block size, and the merge stays in canonical block
                     # order, so the recovered run is bit-identical.
                     attempts += 1
-                    if attempts > self.max_retries:
+                    if attempts > SHARD_RETRIES:
                         raise
                     self.last_retries += 1
                     future = submit(blocks)

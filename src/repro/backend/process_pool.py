@@ -93,26 +93,10 @@ def default_process_workers() -> int:
 DEFAULT_SHUTDOWN_GRACE = 5.0
 
 
-def default_shutdown_grace() -> float:
-    """Shutdown grace period from ``IFAQ_SHUTDOWN_GRACE`` (seconds;
-    non-positive means escalate immediately)."""
-    raw = os.environ.get("IFAQ_SHUTDOWN_GRACE")
-    if not raw:
-        return DEFAULT_SHUTDOWN_GRACE
-    return max(0.0, float(raw))
-
-
-def _start_method() -> str:
-    """``IFAQ_PROC_START`` override, else fork where available.
-
-    Fork is preferred because workers inherit the imported stack (numpy,
-    the codegen modules) instead of re-importing it, making worker
-    startup milliseconds instead of seconds.
-    """
-    override = os.environ.get("IFAQ_PROC_START")
-    if override:
-        return override
-    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+#: Worker start method.  Fork is preferred because workers inherit the
+#: imported stack (numpy, the codegen modules) instead of re-importing
+#: it, making worker startup milliseconds instead of seconds.
+START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
 class TaskNotPicklable(TypeError):
@@ -271,17 +255,13 @@ class ProcessKernelExecutor(Executor):
         self,
         workers: int | None = None,
         *,
-        start_method: str | None = None,
-        shutdown_grace: float | None = None,
+        shutdown_grace: float = DEFAULT_SHUTDOWN_GRACE,
     ) -> None:
         self.workers = workers if workers is not None else default_process_workers()
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        self.shutdown_grace = (
-            shutdown_grace if shutdown_grace is not None else default_shutdown_grace()
-        )
-        self._method = start_method or _start_method()
-        self._ctx = mp.get_context(self._method)
+        self.shutdown_grace = shutdown_grace
+        self._ctx = mp.get_context(START_METHOD)
         self._handles: list[_WorkerHandle] = []
         # Spawn eagerly, before callers start worker threads: forking a
         # process while sibling threads hold locks is how GIL-escape
@@ -311,7 +291,7 @@ class ProcessKernelExecutor(Executor):
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self._method == "fork"),
+            args=(child_conn, START_METHOD == "fork"),
             daemon=True,
             name=name,
         )
@@ -515,8 +495,9 @@ class ProcessKernelExecutor(Executor):
         """Stop the pool, escalating until every worker is reclaimed.
 
         Workers get a cooperative shutdown message and ``shutdown_grace``
-        seconds (``IFAQ_SHUTDOWN_GRACE``) to exit; survivors are
-        ``terminate()``d, then ``kill()``ed, each with a short re-join.
+        seconds (default :data:`DEFAULT_SHUTDOWN_GRACE`) to exit;
+        survivors are ``terminate()``d, then ``kill()``ed, each with a
+        short re-join.
         Workers are reaped *before* the proxy pool is shut down: a proxy
         thread blocked in ``conn.recv()`` on a hung worker only unblocks
         once that worker dies, so the old order (proxy first) could wait

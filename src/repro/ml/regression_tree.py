@@ -128,8 +128,9 @@ class IFAQRegressionTree:
     :class:`~repro.backend.plan.MultiBatchPlan` kernel, so backends
     share work across features — the numpy backend computes δ masks
     once per node and one bottom-up pass per owner relation instead of
-    one per feature.  Results are identical either way; the flag exists
-    for A/B benchmarking (see ``benchmarks/fig5_trajectory.py``).
+    one per feature.  Results are identical either way; the unfused
+    path is the per-feature oracle the end-to-end ``train_tree`` check
+    refits with.
     """
 
     features: Sequence[str]

@@ -50,7 +50,6 @@ from repro.serving.requests import (
     predicate_key,
 )
 from repro.serving.service import (
-    DEFAULT_MAX_FUSE,
     DEFAULT_SERVICE_WORKERS,
     MAX_VIEWS_PER_DB,
     AggregateService,
@@ -63,7 +62,6 @@ __all__ = [
     "AggregateService",
     "CircuitBreaker",
     "CorruptSpill",
-    "DEFAULT_MAX_FUSE",
     "DEFAULT_SERVICE_WORKERS",
     "DatabaseNotRegistered",
     "DeadlineExceeded",

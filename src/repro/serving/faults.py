@@ -4,10 +4,9 @@ Testing fault tolerance with real crashes and wall-clock races makes
 suites flaky; this module injects faults **on a counted schedule**
 instead.  A :class:`FaultSchedule` maps operation names to actions that
 fire at specific invocation indices — the 0th ``run_groupby``, every
-3rd ``run_kernel`` — so a test (or the ``benchmarks/serving_faults.py``
-harness) states exactly which run fails, which worker dies, and which
-spilled source is corrupted, and the same seed reproduces the same
-fault sequence every time.
+3rd ``run_kernel`` — so a test states exactly which run fails, which
+worker dies, and which spilled source is corrupted, and the same seed
+reproduces the same fault sequence every time.
 
 Two wrappers apply schedules to the real stack:
 

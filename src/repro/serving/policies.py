@@ -32,7 +32,6 @@ tests advance time explicitly instead of sleeping.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -66,44 +65,6 @@ class TransientError(RuntimeError):
     """
 
 
-def _env_float(name: str, default: float | None) -> float | None:
-    raw = os.environ.get(name)
-    if raw is None or raw.strip() == "":
-        return default
-    value = float(raw)
-    return value if value > 0 else None
-
-
-def _env_int(name: str, default: int | None) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None or raw.strip() == "":
-        return default
-    value = int(raw)
-    return value if value > 0 else None
-
-
-def default_deadline_from_env() -> float | None:
-    """``IFAQ_DEADLINE_SECONDS`` as the service-wide default deadline
-    (unset or non-positive: no deadline)."""
-    return _env_float("IFAQ_DEADLINE_SECONDS", None)
-
-
-def queue_depth_from_env() -> int | None:
-    """``IFAQ_QUEUE_DEPTH`` as the per-database queue cap (unset or
-    non-positive: unbounded)."""
-    return _env_int("IFAQ_QUEUE_DEPTH", None)
-
-
-def queue_policy_from_env() -> str:
-    """``IFAQ_QUEUE_POLICY`` normalized to ``"reject"`` or ``"wait"``."""
-    policy = (os.environ.get("IFAQ_QUEUE_POLICY") or "reject").strip().lower()
-    if policy not in ("reject", "wait"):
-        raise ValueError(
-            f"IFAQ_QUEUE_POLICY must be 'reject' or 'wait', got {policy!r}"
-        )
-    return policy
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """Exponential backoff with deterministic, seeded jitter.
@@ -134,17 +95,6 @@ class RetryPolicy:
         if self.jitter and raw:
             raw *= 1.0 + self.jitter * rng.random()
         return raw
-
-    @classmethod
-    def from_env(cls) -> "RetryPolicy":
-        """``IFAQ_RETRY_ATTEMPTS`` / ``IFAQ_RETRY_BASE`` /
-        ``IFAQ_RETRY_MAX_DELAY`` / ``IFAQ_RETRY_JITTER`` overrides."""
-        return cls(
-            max_attempts=_env_int("IFAQ_RETRY_ATTEMPTS", 3) or 1,
-            base_delay=_env_float("IFAQ_RETRY_BASE", 0.05) or 0.0,
-            max_delay=_env_float("IFAQ_RETRY_MAX_DELAY", 2.0) or 0.0,
-            jitter=_env_float("IFAQ_RETRY_JITTER", 0.25) or 0.0,
-        )
 
     def as_dict(self) -> dict:
         return {
@@ -190,17 +140,6 @@ class CircuitBreaker:
             raise ValueError(
                 f"failure_threshold must be >= 1, got {self.failure_threshold}"
             )
-
-    @classmethod
-    def from_env(cls, name: str = "process", **overrides) -> "CircuitBreaker":
-        """``IFAQ_BREAKER_THRESHOLD`` / ``IFAQ_BREAKER_RESET`` overrides."""
-        overrides.setdefault(
-            "failure_threshold", _env_int("IFAQ_BREAKER_THRESHOLD", 5) or 1
-        )
-        overrides.setdefault(
-            "reset_seconds", _env_float("IFAQ_BREAKER_RESET", 30.0) or 0.0
-        )
-        return cls(name=name, **overrides)
 
     def _to(self, state: str) -> None:
         if state == self.state:

@@ -23,8 +23,7 @@ seconds, measured from submission.  It is serving-time state only
 the waiter with :class:`~repro.serving.policies.DeadlineExceeded` when
 the budget expires while the request is queued or in flight.  An
 explicit ``deadline=`` argument to ``submit`` overrides it; the
-service-wide default (``IFAQ_DEADLINE_SECONDS``) applies when both are
-``None``.
+service's ``default_deadline`` applies when both are ``None``.
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ pushed into the backend's scans — plain batches exactly like
 group-bys, so no filtered copy of a database is ever built.
 
 Long-lived services can additionally cap columnar memory with
-``store_budget_bytes`` (or ``IFAQ_STORE_BUDGET_BYTES``): after each
+``store_budget_bytes``: after each
 run, if the summed ``approx_bytes`` of every registration's column
 store exceeds the budget, the stores of the least-recently-used
 databases are trimmed and rebuilt lazily on next touch.
@@ -119,17 +119,14 @@ from repro.serving.policies import (
     QueueFull,
     RetryPolicy,
     TransientError,
-    default_deadline_from_env,
-    queue_depth_from_env,
-    queue_policy_from_env,
 )
 from repro.serving.stats import ServiceStats
 
 #: Default worker-pool width: one kernel execution per core.
 DEFAULT_SERVICE_WORKERS = max(1, os.cpu_count() or 1)
 
-#: Default ceiling on group-by requests fused into one kernel run.
-DEFAULT_MAX_FUSE = 16
+#: Ceiling on group-by requests fused into one kernel run.
+MAX_FUSE = 16
 
 
 #: Ceiling on maintained materialized views per registration.
@@ -316,42 +313,36 @@ class AggregateService:
     store_budget_bytes:
         Optional cap on the summed ``approx_bytes`` of every
         registration's column stores; exceeded budgets trim stores LRU
-        after each run (``None``: read ``IFAQ_STORE_BUDGET_BYTES``,
-        unset meaning unlimited).
+        after each run (``None``: unlimited).
     coalesce / fuse:
-        Feature switches, mainly for benchmarks measuring the naive
-        per-request path.
-    max_fuse:
-        Ceiling on group-by requests bundled into one fused run.
-    copy_results:
-        When True (default) every waiter gets a private copy of the
-        result, so one client mutating its response cannot corrupt
-        another's.  Trusted read-only clients can turn this off to
-        serve large group dictionaries zero-copy.
+        Feature switches; turning both off forces one kernel run per
+        request.  At most :data:`MAX_FUSE` group-by requests are
+        bundled into one fused run.
     default_deadline:
-        Service-wide relative deadline in seconds applied to requests
-        that carry none of their own (``None``: read
-        ``IFAQ_DEADLINE_SECONDS``, unset meaning no deadline).
+        Service-wide relative deadline in seconds (positive) applied
+        to requests that carry none of their own (``None``: no
+        deadline).
     max_queue_depth / queue_policy:
         Bounded admission: at most ``max_queue_depth`` pending
-        execution units per database (``None``: ``IFAQ_QUEUE_DEPTH``,
-        unset meaning unbounded).  Over-cap submissions raise
-        :class:`QueueFull` under ``"reject"`` (the default /
-        ``IFAQ_QUEUE_POLICY``) or park until a slot frees under
-        ``"wait"`` — still subject to the deadline.
+        execution units per database (``None``: unbounded).  Over-cap
+        submissions raise :class:`QueueFull` under ``"reject"`` (the
+        default) or park until a slot frees under ``"wait"`` — still
+        subject to the deadline.
     retry_policy:
         Backoff schedule for transient executor failures
         (:class:`~repro.backend.process_pool.WorkerError`,
-        :class:`TransientError`); ``None`` reads the
-        ``IFAQ_RETRY_*`` variables.  Kernels are pure, so retried runs
-        are bit-identical to clean ones.
+        :class:`TransientError`); ``None`` means ``RetryPolicy()``.
+        Kernels are pure, so retried runs are bit-identical to clean
+        ones.
     breaker / thread_breaker:
         Circuit breakers for the process and thread execution stages
-        (``None``: built from ``IFAQ_BREAKER_THRESHOLD`` /
-        ``IFAQ_BREAKER_RESET``).  An open process breaker degrades
-        runs to the thread stage; an open thread breaker degrades to
-        inline execution on the event loop — the last-resort mode that
-        still answers requests.
+        (``None``: a default :class:`CircuitBreaker`).  An open process
+        breaker degrades runs to the thread stage; an open thread
+        breaker degrades to inline execution on the event loop — the
+        last-resort mode that still answers requests.
+
+    Every waiter gets a private copy of its result, so one client
+    mutating its response cannot corrupt another's.
     """
 
     def __init__(
@@ -365,69 +356,49 @@ class AggregateService:
         store_budget_bytes: int | None = None,
         coalesce: bool = True,
         fuse: bool = True,
-        max_fuse: int = DEFAULT_MAX_FUSE,
-        copy_results: bool = True,
         default_deadline: float | None = None,
         max_queue_depth: int | None = None,
-        queue_policy: str | None = None,
+        queue_policy: str = "reject",
         retry_policy: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
         thread_breaker: CircuitBreaker | None = None,
     ) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if max_fuse < 1:
-            raise ValueError(f"max_fuse must be >= 1, got {max_fuse}")
         self.backend = get_backend(backend)
         self.kernel_cache = kernel_cache if kernel_cache is not None else default_kernel_cache()
         self.layout = layout
         self.coalesce = coalesce
         self.fuse = fuse
-        self.max_fuse = max_fuse
-        self.copy_results = copy_results
         probe = getattr(self.backend, "supports_delta", None)
         #: whether the backend speaks the maintained/delta-run protocol
         self._delta_backend = bool(callable(probe) and probe())
         self.stats = ServiceStats()
-        self.default_deadline = (
-            default_deadline if default_deadline is not None
-            else default_deadline_from_env()
-        )
-        self.max_queue_depth = (
-            max_queue_depth if max_queue_depth is not None else queue_depth_from_env()
-        )
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
+        if default_deadline is not None and not default_deadline > 0:
             raise ValueError(
-                f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
+                f"default_deadline must be > 0 seconds, got {default_deadline}"
             )
-        self.queue_policy = (
-            queue_policy if queue_policy is not None else queue_policy_from_env()
-        )
-        if self.queue_policy not in ("reject", "wait"):
+        self.default_deadline = default_deadline
+        if max_queue_depth is not None and max_queue_depth < 1:
+            raise ValueError(f"max_queue_depth must be >= 1, got {max_queue_depth}")
+        self.max_queue_depth = max_queue_depth
+        if queue_policy not in ("reject", "wait"):
             raise ValueError(
-                f"queue_policy must be 'reject' or 'wait', got {self.queue_policy!r}"
+                f"queue_policy must be 'reject' or 'wait', got {queue_policy!r}"
             )
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else RetryPolicy.from_env()
-        )
+        self.queue_policy = queue_policy
+        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self._retry_rng = self.retry_policy.rng()
         #: exception types safe to retry: the run never started or died
         #: mid-flight, and kernels are pure
         self._transient: tuple[type, ...] = (WorkerError, TransientError)
-        self._breaker = (
-            breaker if breaker is not None else CircuitBreaker.from_env("process")
-        )
+        self._breaker = breaker if breaker is not None else CircuitBreaker("process")
         self._thread_breaker = (
-            thread_breaker
-            if thread_breaker is not None
-            else CircuitBreaker.from_env("thread")
+            thread_breaker if thread_breaker is not None else CircuitBreaker("thread")
         )
         for brk in (self._breaker, self._thread_breaker):
             if brk.on_transition is None:
                 brk.on_transition = self.stats.note_breaker_transition
-        if store_budget_bytes is None:
-            raw = os.environ.get("IFAQ_STORE_BUDGET_BYTES")
-            store_budget_bytes = int(raw) if raw else None
         self.store_budget_bytes = store_budget_bytes
         if executor is None:
             executor = executor_mode_from_env()
@@ -600,7 +571,7 @@ class AggregateService:
                 # current answer — no kernel run at all.
                 self.stats.view_hits += 1
                 reg.last_used = loop.time()
-                return _copy_result(plan, view.result) if self.copy_results else view.result
+                return _copy_result(plan, view.result)
             existing = self._inflight.get(key)
             if existing is not None:
                 self.stats.coalesced += 1
@@ -661,7 +632,7 @@ class AggregateService:
         except asyncio.CancelledError:
             self._detach_waiter(entry)
             raise
-        return _copy_result(entry.plan, result) if self.copy_results else result
+        return _copy_result(entry.plan, result)
 
     def _detach_waiter(self, entry: _Inflight) -> None:
         entry.waiters -= 1
@@ -996,7 +967,7 @@ class AggregateService:
                 if entry.abandoned:
                     self._discard(entry)
                 elif (
-                    len(batch) < self.max_fuse
+                    len(batch) < MAX_FUSE
                     and _fusable(entry)
                     and entry.registration is first.registration
                     and entry.pred_key == first.pred_key

@@ -393,13 +393,3 @@ class TestShutdownEscalation:
             assert got == want  # respawned in place, bit-identical
         finally:
             one.shutdown()
-
-    def test_shutdown_grace_from_env(self, monkeypatch):
-        from repro.backend.process_pool import default_shutdown_grace
-
-        monkeypatch.setenv("IFAQ_SHUTDOWN_GRACE", "1.5")
-        assert default_shutdown_grace() == 1.5
-        monkeypatch.setenv("IFAQ_SHUTDOWN_GRACE", "-3")
-        assert default_shutdown_grace() == 0.0
-        monkeypatch.delenv("IFAQ_SHUTDOWN_GRACE")
-        assert default_shutdown_grace() == 5.0

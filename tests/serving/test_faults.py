@@ -304,6 +304,13 @@ class TestDeadlines:
 
         assert serve(run()) == expected_groupby(int_star_db, int_star_query)
 
+    @pytest.mark.parametrize("deadline", [0.0, -1.0])
+    def test_non_positive_default_deadline_rejected(self, deadline):
+        # Zero is not "no deadline" (that is None): it would fail every
+        # request, so the constructor refuses it.
+        with pytest.raises(ValueError, match="default_deadline"):
+            make_service(default_deadline=deadline)
+
 
 def _db_query(db):
     from repro.db import JoinQuery

@@ -25,6 +25,7 @@ from repro.backend import (
     build_batch_plan,
 )
 from repro.backend.layout import LAYOUT_SORTED
+from repro.data import favorita, retailer
 from repro.ml.regression_tree import Condition
 from repro.serving import (
     AggregateRequest,
@@ -197,6 +198,44 @@ class TestIngestCorrectness:
                 return await svc.submit(req)
 
         assert serve(run()) == oracle.groupby(batch, "price")
+
+
+class TestIngestBundles:
+    @pytest.mark.parametrize(
+        "maker, group_attr",
+        # fact-owned group attributes keep the group-by plan rooted at
+        # the relation the appends land in: the delta-eligible case
+        [(favorita, "onpromotion"), (retailer, "inventoryunits")],
+        ids=["favorita", "retailer"],
+    )
+    def test_one_percent_append_matches_fresh_recompute(self, maker, group_attr):
+        """A 1 % append of held-out fact rows (disjoint dates, so a pure
+        append) keeps the served covariance batch and variance group-by
+        bit-identical to a from-scratch run on a copy."""
+        ds = maker(scale=0.02, seed=42)
+        fact = ds.query.relations[0]
+        n_train = len(ds.db.relation(fact).data)
+        rows = [tuple(rec.values()) for rec in ds.test_db.relation(fact).data]
+        rows = rows[: max(1, n_train // 100)]
+        plain_batch = covar_batch(ds.features, label=ds.label)
+        group_batch = variance_batch(ds.label)
+        oracle = Oracle(ds.db, ds.query)
+        plain_req = AggregateRequest("ds", plain_batch)
+        group_req = GroupByRequest("ds", group_batch, group_attr)
+
+        async def run():
+            # Thread executor: worker-process runs ship no delta state.
+            async with make_service(executor="thread") as svc:
+                svc.register_database("ds", ds.db)
+                await svc.submit(plain_req)
+                await svc.submit(group_req)
+                report = await svc.ingest("ds", fact, rows)
+                return report, await svc.submit(plain_req), await svc.submit(group_req)
+
+        report, served_plain, served_group = serve(run())
+        assert report["pure_append"] and report["delta_runs"] > 0
+        assert served_plain == oracle.plain(plain_batch)
+        assert served_group == oracle.groupby(group_batch, group_attr)
 
 
 class TestIngestMechanics:

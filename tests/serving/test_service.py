@@ -634,13 +634,3 @@ class TestStoreBudget:
         trims, store = serve(run())
         assert trims == 0
         assert store is not None
-
-    def test_budget_read_from_env(self, int_star_db, monkeypatch):
-        monkeypatch.setenv("IFAQ_STORE_BUDGET_BYTES", "12345")
-        svc = make_service(executor="thread")
-        assert svc.store_budget_bytes == 12345
-
-        async def close():
-            await svc.close()
-
-        serve(close())
