@@ -4,10 +4,9 @@ Every other layer of the stack — generated kernels, the numpy folds,
 the sharded block merge, the serving coalescer — runs inside one Python
 process, so a 16-core host serves aggregates no faster than a 1-core
 one.  :class:`ProcessKernelExecutor` is the missing layer: a pool of
-long-lived worker *processes* that execute compiled kernels (whole runs
-for the serving layer, per-shard block ranges for
-:class:`~repro.backend.parallel.ShardedBackend`) while the parent only
-plans, batches and merges.
+long-lived worker *processes* that fold per-shard block ranges for a
+process-mode :class:`~repro.backend.parallel.ShardedBackend` while the
+parent only plans, cuts blocks and merges.
 
 **What crosses the process boundary, and when**
 
@@ -28,12 +27,11 @@ plans, batches and merges.
   the whole worker-bootstrap contract.  The parent's current spill
   directory travels with every task so per-test overrides propagate.
 * *Per task:* a fingerprint-sized descriptor (plan reference, δ
-  predicates, and for block tasks the shard's block ranges) and the
-  result coming back.  A ``"run"`` task is one whole run, its entry
-  point picked by the plan's shape; a ``"blocks"`` task folds block
-  ranges through the backend's ``prepare`` / ``run_block`` protocol.
-  δ predicates are applied inside the backend's own scans (numpy
-  masks, filtered inputs elsewhere) — workers keep no filtered copies.
+  predicates, the shard's block ranges) and the partials coming back.
+  A task folds its block ranges through the backend's ``prepare`` /
+  ``run_block`` protocol.  δ predicates are applied inside the
+  backend's own scans (numpy masks, filtered inputs elsewhere) —
+  workers keep no filtered copies.
 
 **Bit identity.**  A worker executes the *same* prepared fold over the
 *same* block ranges the parent would have executed single-shot: data
@@ -64,13 +62,13 @@ import time
 import traceback
 import weakref
 from collections import OrderedDict
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Sequence
 
-from repro.backend.base import ExecutionBackend, run_plan
+from repro.backend.base import ExecutionBackend
 from repro.backend.cache import KernelCache
 from repro.backend.layout import LayoutOptions
-from repro.backend.plan import BatchPlan, MultiBatchPlan
+from repro.backend.plan import BatchPlan
 from repro.db.database import Database
 
 #: Default pool width: one kernel-executing process per core.
@@ -155,15 +153,12 @@ def _set_kernel_dir(kernel_dir: str | None) -> None:
 
 
 def _run_task(state: _WorkerState, task: tuple) -> Any:
-    kind, btok, dtok, plan, layout, predicates = task[:6]
+    btok, dtok, plan, layout, predicates, pred_key, blocks = task
     backend = state.backends[btok]
     db = state.dbs[dtok]
     kernel = state.kernels.get_or_compile(backend, plan, layout)
-    if kind == "run":
-        return run_plan(backend, kernel, db, predicates)
-    # "blocks": a full preparation serves any block range — delta ranges
-    # too — so it is memoized per (database, kernel, δ) and reused.
-    pred_key, blocks = task[6:]
+    # A full preparation serves any block range — delta ranges too — so
+    # it is memoized per (database, kernel, δ) and reused.
     memo_key = (dtok, kernel.fingerprint, pred_key)
     prepared = state.prepared.get(memo_key)
     if prepared is None:
@@ -240,15 +235,12 @@ class _WorkerHandle:
         self.backends: set[int] = set()
 
 
-class ProcessKernelExecutor(Executor):
+class ProcessKernelExecutor:
     """A pool of kernel-executing worker processes.
 
-    Not a generic :class:`~concurrent.futures.Executor` — arbitrary
-    callables don't pickle, so :meth:`submit` raises.  The real surface
-    is :meth:`run_kernel` (whole runs, the serving layer's unit) and
-    :meth:`run_blocks` (per-shard block ranges, the sharded backend's
-    unit); both return futures resolved by a parent proxy thread doing
-    one pipe round-trip per task.
+    Its one task kind is :meth:`run_blocks` (per-shard block ranges,
+    the sharded backend's unit), which returns a future resolved by a
+    parent proxy thread doing one pipe round-trip per task.
     """
 
     def __init__(
@@ -377,31 +369,7 @@ class ProcessKernelExecutor(Executor):
             self._backend_tokens[id(backend)] = (backend, token)
             return token
 
-    def evict_database(self, db: Database) -> None:
-        """Queue worker-side eviction of ``db``'s pickled copy.
-
-        The eviction rides along with each worker's next task (workers
-        are single-threaded message loops; there is no out-of-band
-        signal worth a dedicated pipe round-trip)."""
-        with self._lock:
-            entry = self._db_tokens.pop(id(db), None)
-            if entry is not None and any(entry[1] in h.dbs for h in self._handles):
-                self._dead_tokens.add(entry[1])
-
     # -- task submission ---------------------------------------------------
-
-    def run_kernel(
-        self,
-        backend: ExecutionBackend,
-        db: Database,
-        plan: BatchPlan | MultiBatchPlan,
-        layout: LayoutOptions,
-        predicates=None,
-    ) -> Future:
-        """One whole kernel run on a worker, the entry point picked by the
-        plan's shape (:func:`~repro.backend.base.run_plan`).  Resolves
-        to ``(result, worker_seconds)``."""
-        return self._submit(backend, db, "run", plan, layout, (predicates,))
 
     def run_blocks(
         self,
@@ -421,15 +389,11 @@ class ProcessKernelExecutor(Executor):
         to ``([(canonical_index, partial), ...], worker_seconds)`` so
         the caller can merge every shard's partials in canonical block
         order — the bit-identity contract."""
-        tail = (predicates, pred_key, tuple(blocks))
-        return self._submit(backend, db, "blocks", plan, layout, tail)
-
-    def _submit(self, backend, db, kind, plan, layout, tail) -> Future:
         if self._closed:
             raise RuntimeError("ProcessKernelExecutor is closed")
         btok = self._backend_token(backend)
         dtok = self.db_token(db)
-        task = (kind, btok, dtok, plan, layout, *tail)
+        task = (btok, dtok, plan, layout, predicates, pred_key, tuple(blocks))
         return self._proxy.submit(self._round_trip, btok, backend, dtok, db, task)
 
     def _round_trip(self, btok, backend, dtok, db, task):
@@ -483,13 +447,7 @@ class ProcessKernelExecutor(Executor):
         _tag, result, seconds = reply
         return result, seconds
 
-    # -- Executor interface -------------------------------------------------
-
-    def submit(self, fn, /, *args, **kwargs):  # noqa: D102 — deliberate
-        raise NotImplementedError(
-            "ProcessKernelExecutor does not run arbitrary callables; "
-            "use run_kernel()/run_blocks()"
-        )
+    # -- lifecycle -----------------------------------------------------------
 
     def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
         """Stop the pool, escalating until every worker is reclaimed.

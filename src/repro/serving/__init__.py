@@ -12,7 +12,8 @@ Layer map::
                   FaultyBackend / FaultyExecutor wrappers
     service.py    AggregateService: asyncio front end with per-fingerprint
                   request coalescing, adaptive group-by fusion, a bounded
-                  worker pool, database registration/eviction hooks, and
+                  thread pool (degrading inline behind one circuit
+                  breaker), database registration/eviction hooks, and
                   streaming ingest maintaining cached results as
                   materialized views (delta folds, not recomputes)
 

@@ -4,7 +4,7 @@ Testing fault tolerance with real crashes and wall-clock races makes
 suites flaky; this module injects faults **on a counted schedule**
 instead.  A :class:`FaultSchedule` maps operation names to actions that
 fire at specific invocation indices — the 0th ``run_groupby``, every
-3rd ``run_kernel`` — so a test states exactly which run fails, which
+3rd ``run_blocks`` — so a test states exactly which run fails, which
 worker dies, and which spilled source is corrupted, and the same seed
 reproduces the same fault sequence every time.
 
@@ -20,7 +20,7 @@ Two wrappers apply schedules to the real stack:
   flight".
 * :class:`FaultyExecutor` wraps a
   :class:`~repro.backend.process_pool.ProcessKernelExecutor` and
-  injects faults into ``run_kernel`` / ``run_blocks``:
+  injects faults into ``run_blocks``, the sharded backend's dispatch:
   :class:`KillWorker` kills a real pool worker immediately before
   dispatch (the next round-trip raises the organic
   :class:`~repro.backend.process_pool.WorkerError` and the pool
@@ -243,9 +243,8 @@ class FaultyBackend(ExecutionBackend):
 
     Holds a ``threading.Event`` when :class:`Hold` actions are armed,
     so it deliberately does **not** cross the process boundary — a
-    service handed a ``FaultyBackend`` plus a process executor falls
-    back in-process via ``TaskNotPicklable``, which is itself a useful
-    configuration to test.
+    process-mode sharded backend wrapping a ``FaultyBackend`` folds on
+    threads instead via ``TaskNotPicklable``.
     """
 
     def __init__(self, inner: ExecutionBackend, schedule: FaultSchedule) -> None:
@@ -311,10 +310,10 @@ class FaultyBackend(ExecutionBackend):
 class FaultyExecutor:
     """A fault-injecting wrapper around a process kernel executor.
 
-    Exposes the same ``run_kernel`` / ``run_blocks`` future surface the
-    serving layer and sharded backend use, so it drops in wherever a
+    Exposes the same ``run_blocks`` future surface the sharded backend
+    uses, so it drops in wherever a
     :class:`~repro.backend.process_pool.ProcessKernelExecutor` does.
-    ``op`` names: ``"run_kernel"`` and ``"run_blocks"``.
+    The ``op`` name is ``"run_blocks"``.
 
     * :class:`KillWorker` — kills a *real* worker of the wrapped pool
       first, then dispatches normally: the task lands on the dead
@@ -326,8 +325,8 @@ class FaultyExecutor:
       not pay respawn costs).
 
     Slow-kernel scenarios belong on :class:`FaultyBackend` (whose
-    delays run on worker threads); ``run_kernel`` is called from the
-    event loop, so :class:`Delay`/:class:`Hold` are rejected here.
+    delays run on worker threads); :class:`Delay`/:class:`Hold` are
+    rejected here.
     """
 
     def __init__(self, inner, schedule: FaultSchedule) -> None:
@@ -353,9 +352,6 @@ class FaultyExecutor:
             else:
                 raise TypeError(f"unsupported executor fault action {action!r}")
         return None
-
-    def run_kernel(self, *args, **kwargs):
-        return self._fault("run_kernel") or self.inner.run_kernel(*args, **kwargs)
 
     def run_blocks(self, *args, **kwargs):
         return self._fault("run_blocks") or self.inner.run_blocks(*args, **kwargs)

@@ -15,13 +15,13 @@ primitives fix that:
   backpressure, ``"wait"`` parks them until a slot frees (still subject
   to the deadline), so one hot database cannot starve the rest.
 * :class:`RetryPolicy` — exponential backoff with **deterministic
-  seeded jitter** for transient executor failures (a worker death
-  mid-run, a respawn window).  Retrying is safe because kernels are
+  seeded jitter** for transient failures (a sharded backend's worker
+  that stayed dead through its shard retries).  Retrying is safe because kernels are
   pure: a retried run recomputes the same fold over the same data and
   is bit-identical to the clean path.
-* :class:`CircuitBreaker` — repeated failures of one execution stage
-  trip the breaker and runs degrade down the ladder
-  ``process → thread → inline``; after ``reset_seconds`` the breaker
+* :class:`CircuitBreaker` — repeated failures on the thread pool trip
+  the breaker and runs degrade to inline execution on the event loop;
+  after ``reset_seconds`` the breaker
   half-opens and a probe run decides between recovery (``closed``) and
   another ``open`` period.
 
@@ -61,7 +61,7 @@ class TransientError(RuntimeError):
     harness (:mod:`repro.serving.faults`) raises this to model respawn
     windows and flaky infrastructure;
     :class:`~repro.backend.process_pool.WorkerError` is the organic
-    equivalent (a worker died mid-run).
+    equivalent (a sharded backend's worker died mid-run).
     """
 
 
@@ -110,7 +110,7 @@ class CircuitBreaker:
     """A consecutive-failure circuit breaker with half-open probes.
 
     States: ``closed`` (normal), ``open`` (the stage is skipped and
-    runs degrade to the next level), ``half_open`` (the reset period
+    runs degrade inline), ``half_open`` (the reset period
     elapsed; the next run probes the stage — success closes the
     breaker, failure reopens it).  Only *transient* failures are
     recorded: a planning error or a bad batch says nothing about the
@@ -120,7 +120,7 @@ class CircuitBreaker:
     instead of sleeping.
     """
 
-    name: str = "process"
+    name: str = "thread"
     failure_threshold: int = 5
     reset_seconds: float = 30.0
     clock: Callable[[], float] = time.monotonic

@@ -24,16 +24,10 @@ The service exploits that repetition twice:
   bulk.
 
 Kernel execution is blocking (numpy folds, generated kernels, g++
-binaries), so it is offloaded to a bounded worker pool — a
-``ThreadPoolExecutor`` by default, or a
-:class:`~repro.backend.process_pool.ProcessKernelExecutor` running
-kernels in worker *processes* (``executor="process"``, or
-``IFAQ_EXECUTOR=process`` in the environment), which is how coalesced
-and fused runs for different fingerprints proceed on all cores
-concurrently instead of time-slicing one GIL.  On the process path the
-parent still compiles (and spills) each kernel once — workers
-warm-start from the spilled source — and plans/databases cross the
-process boundary once per registration, not per request.  Kernel
+binaries), so it is offloaded to the service's bounded thread pool.
+A backend whose folds should run in worker processes is a
+process-mode :class:`~repro.backend.parallel.ShardedBackend`; the
+service hands it work like any other backend.  Kernel
 compilation goes through the shared
 :class:`~repro.backend.cache.KernelCache` (single-flight, so raced
 fingerprints compile once) and columnar state through the shared
@@ -69,13 +63,15 @@ can carry a relative **deadline**, enforced while queued and in flight
 waiters are cancelled before dispatch so they never occupy a pool
 slot.  Per-database **bounded admission** caps the pending-run queue
 (``QueueFull`` backpressure, or parked waits under the ``"wait"``
-policy).  Transient executor failures — a worker death mid-run, a
-respawn window — are **retried with exponential backoff and seeded
-jitter**; kernels are pure, so a retried run is bit-identical to the
-clean one.  Repeated failures trip a **circuit breaker** and runs
-degrade down the ladder *process → thread → inline*, recovering
-through half-open probes; every timeout, rejection, retry, degraded
-run and breaker transition is visible in :class:`ServiceStats`.  The
+policy).  Transient failures — a process-mode sharded backend whose
+worker stayed dead through its shard retries, a
+:class:`TransientError` — are **retried with exponential backoff and
+seeded jitter**; kernels are pure, so a retried run is bit-identical
+to the clean one.  Repeated failures trip a **circuit breaker** and
+runs degrade from the thread pool to inline execution on the event
+loop, recovering through half-open probes; every timeout, rejection,
+retry, degraded run and breaker transition is visible in
+:class:`ServiceStats`.  The
 deterministic fault-injection harness driving the tests lives in
 :mod:`repro.serving.faults`.
 """
@@ -86,9 +82,9 @@ import asyncio
 import os
 from collections import deque
 from time import perf_counter
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 # Unused here, but the end-to-end benchmark spans this module attribute.
 from repro.aggregates.engine import apply_predicates  # noqa: F401
@@ -98,12 +94,7 @@ from repro.backend.cache import KernelCache, default_kernel_cache
 from repro.backend.column_store import evict_column_store, peek_column_store
 from repro.backend.layout import LAYOUT_SORTED, LayoutOptions
 from repro.backend.plan import BatchPlan, MultiBatchPlan, build_batch_plan
-from repro.backend.process_pool import (
-    ProcessKernelExecutor,
-    TaskNotPicklable,
-    WorkerError,
-    executor_mode_from_env,
-)
+from repro.backend.process_pool import WorkerError
 from repro.backend.registry import get_backend
 from repro.db.database import Database
 from repro.serving.requests import (
@@ -302,14 +293,9 @@ class AggregateService:
     layout:
         :class:`LayoutOptions` every kernel is compiled under.
     max_workers:
-        Concurrent kernel executions (the bounded worker pool).
+        Concurrent kernel executions (the bounded thread pool).
     executor:
-        ``None`` (pick the mode from ``IFAQ_EXECUTOR``, thread by
-        default), the string ``"thread"`` or ``"process"`` (the service
-        owns the pool), or a ready
-        :class:`concurrent.futures.Executor` /
-        :class:`~repro.backend.process_pool.ProcessKernelExecutor`
-        instance (shared, not shut down on close).
+        Must be ``"thread"``, the only execution mode.
     store_budget_bytes:
         Optional cap on the summed ``approx_bytes`` of every
         registration's column stores; exceeded budgets trim stores LRU
@@ -329,17 +315,17 @@ class AggregateService:
         default) or park until a slot frees under ``"wait"`` — still
         subject to the deadline.
     retry_policy:
-        Backoff schedule for transient executor failures
-        (:class:`~repro.backend.process_pool.WorkerError`,
-        :class:`TransientError`); ``None`` means ``RetryPolicy()``.
+        Backoff schedule for transient failures
+        (:class:`~repro.backend.process_pool.WorkerError` from a
+        process-mode sharded backend, :class:`TransientError`);
+        ``None`` means ``RetryPolicy()``.
         Kernels are pure, so retried runs are bit-identical to clean
         ones.
-    breaker / thread_breaker:
-        Circuit breakers for the process and thread execution stages
-        (``None``: a default :class:`CircuitBreaker`).  An open process
-        breaker degrades runs to the thread stage; an open thread
-        breaker degrades to inline execution on the event loop — the
-        last-resort mode that still answers requests.
+    breaker:
+        Circuit breaker guarding the thread pool (``None``: a default
+        :class:`CircuitBreaker`).  While it is open, runs execute
+        inline on the event loop — the last-resort mode that still
+        answers requests.
 
     Every waiter gets a private copy of its result, so one client
     mutating its response cannot corrupt another's.
@@ -352,7 +338,7 @@ class AggregateService:
         kernel_cache: KernelCache | None = None,
         layout: LayoutOptions = LAYOUT_SORTED,
         max_workers: int = DEFAULT_SERVICE_WORKERS,
-        executor: Executor | str | None = None,
+        executor: str = "thread",
         store_budget_bytes: int | None = None,
         coalesce: bool = True,
         fuse: bool = True,
@@ -361,10 +347,11 @@ class AggregateService:
         queue_policy: str = "reject",
         retry_policy: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = None,
-        thread_breaker: CircuitBreaker | None = None,
     ) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+        if executor != "thread":
+            raise ValueError(f"executor must be 'thread', got {executor!r}")
         self.backend = get_backend(backend)
         self.kernel_cache = kernel_cache if kernel_cache is not None else default_kernel_cache()
         self.layout = layout
@@ -392,36 +379,12 @@ class AggregateService:
         #: exception types safe to retry: the run never started or died
         #: mid-flight, and kernels are pure
         self._transient: tuple[type, ...] = (WorkerError, TransientError)
-        self._breaker = breaker if breaker is not None else CircuitBreaker("process")
-        self._thread_breaker = (
-            thread_breaker if thread_breaker is not None else CircuitBreaker("thread")
-        )
-        for brk in (self._breaker, self._thread_breaker):
-            if brk.on_transition is None:
-                brk.on_transition = self.stats.note_breaker_transition
+        self._breaker = breaker if breaker is not None else CircuitBreaker()
+        if self._breaker.on_transition is None:
+            self._breaker.on_transition = self.stats.note_breaker_transition
         self.store_budget_bytes = store_budget_bytes
-        if executor is None:
-            executor = executor_mode_from_env()
-        if isinstance(executor, str):
-            if executor == "thread":
-                executor = ThreadPoolExecutor(
-                    max_workers=max_workers, thread_name_prefix="ifaq-serve"
-                )
-            elif executor == "process":
-                executor = ProcessKernelExecutor()
-            else:
-                raise ValueError(
-                    f"executor must be 'thread' or 'process', got {executor!r}"
-                )
-            self._own_executor = True
-        else:
-            self._own_executor = False
-        self._executor: Executor = executor
-        # Duck-typed so fault-injection wrappers (serving.faults.
-        # FaultyExecutor) and future remote executors slot in: anything
-        # exposing run_kernel() is driven down the process path.
-        self._process_executor = (
-            executor if hasattr(executor, "run_kernel") else None
+        self._executor = ThreadPoolExecutor(
+            max_workers=max_workers, thread_name_prefix="ifaq-serve"
         )
         self._sem = asyncio.Semaphore(max_workers)
         self._dbs: dict[str, _Registration] = {}
@@ -435,20 +398,11 @@ class AggregateService:
 
     # -- database registration / eviction ---------------------------------
 
-    def register_database(
-        self,
-        name: str,
-        db: Database,
-        *,
-        relations: Sequence[str] | None = None,
-        root: str | None = None,
-        replace: bool = False,
-    ) -> None:
+    def register_database(self, name: str, db: Database, *, replace: bool = False) -> None:
         """Register ``db`` under ``name`` and plan its join tree once.
 
-        ``relations`` restricts the tree to a sub-join (default: every
-        relation); ``root`` pins the tree root (default: the largest
-        relation, the fact table).  Registered databases are assumed
+        The tree spans every relation, rooted at the largest one (the
+        fact table).  Registered databases are assumed
         immutable while registered — the same contract every prepared
         layout and column store already relies on.  Registration hooks
         (:meth:`add_hooks`) fire after the tree is built.
@@ -465,10 +419,7 @@ class AggregateService:
                 f"database {name!r} is already registered; pass replace=True"
             )
         tree = build_join_tree(
-            db.schema(),
-            tuple(relations) if relations is not None else tuple(db.relations),
-            root=root,
-            stats=dict(db.statistics()),
+            db.schema(), tuple(db.relations), stats=dict(db.statistics())
         )
         self._generation += 1
         self._dbs[name] = _Registration(
@@ -477,11 +428,11 @@ class AggregateService:
         for hook in self._register_hooks:
             hook(name, db)
 
-    def evict_database(self, name: str, *, drop_column_store: bool = True) -> bool:
+    def evict_database(self, name: str) -> bool:
         """Unregister ``name``; returns whether it was registered.
 
-        Drops the registration's plan memos and (by default) the
-        database's shared :class:`ColumnStore`, so a long-lived service
+        Drops the registration's plan memos and the database's shared
+        :class:`ColumnStore`, so a long-lived service
         rotating databases does not accumulate dead columnar copies —
         the eager half of the ROADMAP eviction item.  Requests already
         in flight finish against the evicted database; new submissions
@@ -491,11 +442,7 @@ class AggregateService:
         reg = self._dbs.pop(name, None)
         if reg is None:
             return False
-        if drop_column_store:
-            evict_column_store(reg.db)
-        if self._process_executor is not None:
-            # Workers drop their pickled copy with their next task.
-            self._process_executor.evict_database(reg.db)
+        evict_column_store(reg.db)
         for hook in self._evict_hooks:
             hook(name, reg.db)
         return True
@@ -988,68 +935,38 @@ class AggregateService:
             entry.future.cancel()
         self.stats.cancelled_queued += 1
 
-    # -- executor selection / resilience ------------------------------------
+    # -- resilient execution -----------------------------------------------
 
-    def _preferred_level(self) -> str:
-        return "process" if self._process_executor is not None else "thread"
+    async def _execute(self, loop, plan: BatchPlan | MultiBatchPlan, entry: _Inflight):
+        """Run ``plan`` over ``entry``'s database under its δ predicates
+        with retry/backoff and the breaker: ``(result, maintained state
+        | None)``.
 
-    def _select_level(self) -> tuple[str, CircuitBreaker | None]:
-        """Pick the highest execution level whose breaker admits a run.
-
-        The degradation ladder is ``process → thread → inline``:
-        a tripped process breaker routes runs onto worker threads, a
-        tripped thread breaker runs them inline on the event loop (the
-        last resort that always answers).  An ``open`` breaker whose
-        reset period elapsed half-opens here and lets the run through
-        as its recovery probe.
+        A run goes to the thread pool while the breaker admits it, and
+        inline on the event loop while it is open (the last resort that
+        always answers).  An ``open`` breaker whose reset period elapsed
+        half-opens here and lets the run through as its recovery probe.
+        Only *transient* failures (``WorkerError``, ``TransientError``)
+        are retried or recorded by the breaker; planning errors and bad
+        batches propagate immediately on attempt one.  Kernels are pure
+        functions of plan, layout and data, so a retried or degraded run
+        is bit-identical to a clean one.
         """
-        if self._process_executor is not None and self._breaker.allow():
-            return "process", self._breaker
-        if self._thread_breaker.allow():
-            return "thread", self._thread_breaker
-        return "inline", None
-
-    def _thread_target(self):
-        """The thread pool for thread-level runs.
-
-        When the service was built with a process executor there is no
-        dedicated thread pool, so degraded runs borrow the event loop's
-        default executor.
-        """
-        return None if self._process_executor is not None else self._executor
-
-    async def _run_resilient(self, loop, process_call, blocking_call):
-        """Run one unit with retry/backoff, breakers, and degradation.
-
-        ``process_call`` dispatches onto the process executor;
-        ``blocking_call`` is the in-process equivalent (bit-identical —
-        kernels are pure functions of plan, layout and data).  Only
-        *transient* failures (``WorkerError``, ``TransientError``) are
-        retried or recorded by breakers; planning errors and bad batches
-        propagate immediately on attempt one.
-        """
+        db = entry.registration.db
         policy = self.retry_policy
         attempt = 0
         while True:
-            level, breaker = self._select_level()
+            threaded = self._breaker.allow()
             try:
-                if level == "process":
-                    try:
-                        result = await process_call()
-                    except TaskNotPicklable:
-                        # Unpicklable backend/plan/predicates: run
-                        # in-process.  A capability fallback, not a
-                        # health-driven degradation — not counted.
-                        result = await loop.run_in_executor(None, blocking_call)
-                elif level == "thread":
+                if threaded:
                     result = await loop.run_in_executor(
-                        self._thread_target(), blocking_call
+                        self._executor, self._run, plan, db, entry.predicates
                     )
                 else:
-                    result = blocking_call()
+                    result = self._run(plan, db, entry.predicates)
             except self._transient:
-                if breaker is not None:
-                    breaker.record_failure()
+                if threaded:
+                    self._breaker.record_failure()
                 attempt += 1
                 if attempt >= policy.max_attempts:
                     self.stats.retry_exhausted += 1
@@ -1059,40 +976,11 @@ class AggregateService:
                 if delay:
                     await asyncio.sleep(delay)
                 continue
-            if breaker is not None:
-                breaker.record_success()
-            if level != self._preferred_level():
+            if threaded:
+                self._breaker.record_success()
+            else:
                 self.stats.degraded_runs += 1
             return result
-
-    async def _execute(self, loop, plan: BatchPlan | MultiBatchPlan, entry: _Inflight):
-        """Run ``plan`` over ``entry``'s database under its δ predicates,
-        resiliently: ``(result, maintained state | None)``.
-
-        On the process path the parent compiles first (off the event
-        loop): for generated backends that spills the source under
-        ``IFAQ_KERNEL_CACHE_DIR``, which is exactly what the worker's
-        own compile warm-loads — the worker re-execs the source instead
-        of regenerating it — and it keeps the service's kernel-cache
-        counters meaningful in both executor modes.  Worker runs ship
-        no delta state back (a worker's group coding is its own); the
-        next ingest re-establishes it parent-side.
-        """
-        db = entry.registration.db
-
-        async def process_call():
-            await loop.run_in_executor(
-                None, self.kernel_cache.get_or_compile, self.backend, plan, self.layout
-            )
-            future = self._process_executor.run_kernel(
-                self.backend, db, plan, self.layout, entry.predicates
-            )
-            result, _worker_seconds = await asyncio.wrap_future(future)
-            return result, None
-
-        return await self._run_resilient(
-            loop, process_call, lambda: self._run(plan, db, entry.predicates)
-        )
 
     # -- blocking execution (worker threads, ingest) ------------------------
 
@@ -1166,20 +1054,13 @@ class AggregateService:
             "service": self.stats.as_dict(),
             "kernel_cache": self.kernel_cache.stats.as_dict(),
             "databases": databases,
-            "executor": {
-                "kind": "process" if self._process_executor is not None else "thread",
-                "workers": getattr(self._process_executor, "workers", None),
-            },
             "store_budget_bytes": self.store_budget_bytes,
             "reliability": {
                 "default_deadline": self.default_deadline,
                 "max_queue_depth": self.max_queue_depth,
                 "queue_policy": self.queue_policy,
                 "retry": self.retry_policy.as_dict(),
-                "breakers": {
-                    "process": self._breaker.as_dict(),
-                    "thread": self._thread_breaker.as_dict(),
-                },
+                "breaker": self._breaker.as_dict(),
             },
         }
 
@@ -1192,8 +1073,7 @@ class AggregateService:
         """Drain in-flight work and release the worker pool."""
         self._closed = True
         await self.drain()
-        if self._own_executor:
-            self._executor.shutdown(wait=True)
+        self._executor.shutdown(wait=True)
 
     async def __aenter__(self) -> "AggregateService":
         return self

@@ -69,13 +69,11 @@ class ServiceStats:
     retries: int = 0
     #: runs whose retry budget was exhausted (the failure propagated)
     retry_exhausted: int = 0
-    #: runs executed below the preferred level (process→thread→inline)
-    #: because a circuit breaker was open
+    #: runs executed inline on the event loop because the circuit
+    #: breaker guarding the thread pool was open
     degraded_runs: int = 0
-    #: current state of the process-stage circuit breaker
+    #: current state of the circuit breaker
     breaker_state: str = "closed"
-    #: current state of the thread-stage circuit breaker
-    thread_breaker_state: str = "closed"
     #: every breaker transition, as (breaker name, from state, to state)
     breaker_transitions: list = field(default_factory=list)
     #: requests answered straight from a maintained materialized view
@@ -138,12 +136,9 @@ class ServiceStats:
 
     def note_breaker_transition(self, name: str, previous: str, state: str) -> None:
         """Mirror one circuit-breaker transition into the counters
-        (wired as the breakers' ``on_transition`` callback)."""
+        (wired as the breaker's ``on_transition`` callback)."""
         self.breaker_transitions.append((name, previous, state))
-        if name == "thread":
-            self.thread_breaker_state = state
-        else:
-            self.breaker_state = state
+        self.breaker_state = state
 
     def as_dict(self) -> dict:
         dispatched = self.completed + self.errors
@@ -164,7 +159,6 @@ class ServiceStats:
             "retry_exhausted": self.retry_exhausted,
             "degraded_runs": self.degraded_runs,
             "breaker_state": self.breaker_state,
-            "thread_breaker_state": self.thread_breaker_state,
             "breaker_transitions": [list(t) for t in self.breaker_transitions],
             "view_hits": self.view_hits,
             "ingests": self.ingests,

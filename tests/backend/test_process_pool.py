@@ -48,10 +48,24 @@ def groupby_plan(db, query, attr="price"):
 PRICE_PREDICATES = {"I": [Condition("price", "<=", 25.0)]}
 
 
+def run_whole(pool, backend, db, plan):
+    """Submit every root row as one block: a future resolving to
+    ``([(0, partial)], worker_seconds)``."""
+    n_rows = len(db.relation(plan.root.relation).data)
+    return pool.run_blocks(backend, db, plan, LAYOUT_SORTED, [(0, (0, n_rows))])
+
+
+def whole_in_process(backend, db, plan):
+    """What :func:`run_whole` folds, folded here: ``[(0, partial)]``."""
+    kernel = backend.compile_plan(plan, LAYOUT_SORTED)
+    state, n_rows = backend.prepare(kernel, db)
+    return [(0, backend.run_block(kernel, state, 0, n_rows))]
+
+
 class ExplodingBackend(NumpyBackend):
     """Raises inside the worker process — tests error propagation."""
 
-    def run_groupby(self, kernel, db, predicates=None):
+    def run_block(self, kernel, state, lo, hi):
         raise ValueError("exploded in worker")
 
 
@@ -70,55 +84,9 @@ def pool():
     executor.shutdown()
 
 
-class TestRunKernel:
-    """Whole-run tasks: the serving layer's unit of work."""
-
-    def test_plain_matches_in_process(self, pool, int_star_db, int_star_query):
-        plan = plain_plan(int_star_db, int_star_query)
-        backend = NumpyBackend()
-        kernel = backend.compile_plan(plan, LAYOUT_SORTED)
-        want = backend.execute(kernel, int_star_db)
-        got, seconds = pool.run_kernel(
-            backend, int_star_db, plan, LAYOUT_SORTED
-        ).result()
-        assert got == want
-        assert seconds >= 0
-
-    @pytest.mark.parametrize("predicates", [None, PRICE_PREDICATES])
-    def test_groupby_matches_in_process(
-        self, pool, int_star_db, int_star_query, predicates
-    ):
-        plan = groupby_plan(int_star_db, int_star_query)
-        backend = NumpyBackend()
-        kernel = backend.compile_plan(plan, LAYOUT_SORTED)
-        want = backend.run_groupby(kernel, int_star_db, predicates)
-        got, _ = pool.run_kernel(
-            backend,
-            int_star_db,
-            plan,
-            LAYOUT_SORTED,
-            predicates=predicates,
-        ).result()
-        assert got == want
-
+class TestDatabaseTokens:
     def test_token_registration_is_stable(self, pool, int_star_db):
         assert pool.db_token(int_star_db) == pool.db_token(int_star_db)
-
-    def test_eviction_then_rerun_reregisters(
-        self, pool, int_star_db, int_star_query
-    ):
-        plan = plain_plan(int_star_db, int_star_query)
-        backend = NumpyBackend()
-        kernel = backend.compile_plan(plan, LAYOUT_SORTED)
-        want = backend.execute(kernel, int_star_db)
-        first, _ = pool.run_kernel(
-            backend, int_star_db, plan, LAYOUT_SORTED
-        ).result()
-        pool.evict_database(int_star_db)
-        second, _ = pool.run_kernel(
-            backend, int_star_db, plan, LAYOUT_SORTED
-        ).result()
-        assert first == want == second
 
 
 class TestShardedProcessBitIdentity:
@@ -235,47 +203,33 @@ class TestFallbackAndErrors:
         self, pool, int_star_db, int_star_query
     ):
         plan = plain_plan(int_star_db, int_star_query)
-        backend = LockedBackend()
         with pytest.raises(TaskNotPicklable):
-            pool.run_kernel(
-                backend, int_star_db, plan, LAYOUT_SORTED
-            ).result()
+            run_whole(pool, LockedBackend(), int_star_db, plan).result()
 
     def test_worker_exception_keeps_type_and_carries_traceback(
         self, pool, int_star_db, int_star_query
     ):
         plan = groupby_plan(int_star_db, int_star_query)
         with pytest.raises(ValueError, match="exploded in worker") as info:
-            pool.run_kernel(
-                ExplodingBackend(), int_star_db, plan, LAYOUT_SORTED
-            ).result()
+            run_whole(pool, ExplodingBackend(), int_star_db, plan).result()
         assert isinstance(info.value.__cause__, WorkerError)
         assert "exploded in worker" in str(info.value.__cause__)
 
     def test_pool_survives_worker_death(self, int_star_db, int_star_query):
         plan = plain_plan(int_star_db, int_star_query)
         backend = NumpyBackend()
-        kernel = backend.compile_plan(plan, LAYOUT_SORTED)
-        want = backend.execute(kernel, int_star_db)
+        want = whole_in_process(backend, int_star_db, plan)
         one = ProcessKernelExecutor(workers=1)
         try:
             one._handles[0].process.kill()
             one._handles[0].process.join(timeout=5)
             with pytest.raises(WorkerError):
-                one.run_kernel(
-                    backend, int_star_db, plan, LAYOUT_SORTED
-                ).result()
+                run_whole(one, backend, int_star_db, plan).result()
             # The dead slot was respawned in place: the pool still works.
-            got, _ = one.run_kernel(
-                backend, int_star_db, plan, LAYOUT_SORTED
-            ).result()
+            got, _ = run_whole(one, backend, int_star_db, plan).result()
             assert got == want
         finally:
             one.shutdown()
-
-    def test_submit_is_not_a_generic_executor(self, pool):
-        with pytest.raises(NotImplementedError):
-            pool.submit(sum, [1, 2])
 
 
 class TestSpilledSourceBootstrap:
@@ -286,16 +240,14 @@ class TestSpilledSourceBootstrap:
         plan = plain_plan(int_star_db, int_star_query)
         backend = PythonKernelBackend(block_size=16)
         cache = KernelCache()
-        kernel = cache.get_or_compile(backend, plan, LAYOUT_SORTED)
-        want = backend.execute(kernel, int_star_db)
+        cache.get_or_compile(backend, plan, LAYOUT_SORTED)
+        want = whole_in_process(backend, int_star_db, plan)
         spilled = list(tmp_path.glob("kernel_*.py"))
         assert spilled, "parent compile should spill the kernel source"
         # A pool created *now* forks workers that warm-load that spill.
         one = ProcessKernelExecutor(workers=1)
         try:
-            got, _ = one.run_kernel(
-                backend, int_star_db, plan, LAYOUT_SORTED
-            ).result()
+            got, _ = run_whole(one, backend, int_star_db, plan).result()
             assert got == want
         finally:
             one.shutdown()
@@ -341,11 +293,11 @@ class TestEnvConfiguration:
 class SleepingBackend(NumpyBackend):
     """Wedges inside the worker — tests shutdown escalation."""
 
-    def run_groupby(self, kernel, db, predicates=None):
+    def run_block(self, kernel, state, lo, hi):
         import time
 
         time.sleep(60)
-        return super().run_groupby(kernel, db, predicates)
+        return super().run_block(kernel, state, lo, hi)
 
 
 class TestShutdownEscalation:
@@ -361,9 +313,7 @@ class TestShutdownEscalation:
 
         plan = groupby_plan(int_star_db, int_star_query)
         one = ProcessKernelExecutor(workers=1, shutdown_grace=0.2)
-        future = one.run_kernel(
-            SleepingBackend(), int_star_db, plan, LAYOUT_SORTED
-        )
+        future = run_whole(one, SleepingBackend(), int_star_db, plan)
         deadline = time.monotonic() + 10
         while not one._free.empty() and time.monotonic() < deadline:
             time.sleep(0.01)  # wait until the proxy dispatched the task
@@ -378,18 +328,13 @@ class TestShutdownEscalation:
     def test_kill_worker_is_public_fault_surface(self, int_star_db, int_star_query):
         plan = plain_plan(int_star_db, int_star_query)
         backend = NumpyBackend()
-        kernel = backend.compile_plan(plan, LAYOUT_SORTED)
-        want = backend.execute(kernel, int_star_db)
+        want = whole_in_process(backend, int_star_db, plan)
         one = ProcessKernelExecutor(workers=1)
         try:
             one.kill_worker(0)
             with pytest.raises(WorkerError):
-                one.run_kernel(
-                    backend, int_star_db, plan, LAYOUT_SORTED
-                ).result()
-            got, _ = one.run_kernel(
-                backend, int_star_db, plan, LAYOUT_SORTED
-            ).result()
+                run_whole(one, backend, int_star_db, plan).result()
+            got, _ = run_whole(one, backend, int_star_db, plan).result()
             assert got == want  # respawned in place, bit-identical
         finally:
             one.shutdown()

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from concurrent.futures import Future
 
 import pytest
 
@@ -22,11 +21,11 @@ from repro.backend import (
     KernelCache,
     NumpyBackend,
     ProcessKernelExecutor,
-    WorkerError,
+    ShardedBackend,
     build_batch_plan,
-    run_plan,
 )
 from repro.aggregates import build_join_tree
+from repro.backend.layout import LAYOUT_SORTED
 from repro.serving import (
     AggregateRequest,
     AggregateService,
@@ -87,41 +86,13 @@ async def wait_until(predicate, timeout=10.0):
         await asyncio.sleep(0.005)
 
 
-class InlinePool:
-    """A synchronous stand-in for ProcessKernelExecutor.
-
-    Exposes the same ``run_kernel`` future surface, runs the task
-    in-process, and stays deterministic/cheap — the seam FaultyExecutor
-    and the breaker tests need without real worker processes.
-    """
-
-    workers = 1
-
-    def __init__(self) -> None:
-        self.cache = KernelCache()
-        self.calls = 0
-
-    def run_kernel(self, backend, db, plan, layout, predicates=None):
-        self.calls += 1
-        future: Future = Future()
-        try:
-            kernel = self.cache.get_or_compile(backend, plan, layout)
-            future.set_result((run_plan(backend, kernel, db, predicates), 0.0))
-        except BaseException as exc:  # noqa: BLE001 — mirror the pool
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait=True, **_kw):
-        pass
-
-
 # -- policy units ------------------------------------------------------------
 
 
 class TestCircuitBreaker:
     def test_trips_after_threshold_and_half_opens(self):
         now = [0.0]
-        brk = CircuitBreaker("process", failure_threshold=3, reset_seconds=10.0,
+        brk = CircuitBreaker(failure_threshold=3, reset_seconds=10.0,
                              clock=lambda: now[0])
         for _ in range(2):
             brk.record_failure()
@@ -138,7 +109,7 @@ class TestCircuitBreaker:
 
     def test_half_open_failure_reopens(self):
         now = [0.0]
-        brk = CircuitBreaker("process", failure_threshold=1, reset_seconds=5.0,
+        brk = CircuitBreaker(failure_threshold=1, reset_seconds=5.0,
                              clock=lambda: now[0])
         brk.record_failure()
         assert brk.state == "open"
@@ -484,48 +455,14 @@ class TestRetries:
 
 
 class TestDegradation:
-    def test_breaker_trips_and_runs_degrade_to_thread(self, int_star_db, int_star_query):
-        schedule = FaultSchedule().on(
-            "run_kernel", Fail(WorkerError, "pool down"), at=lambda i: True
-        )
-        executor = FaultyExecutor(InlinePool(), schedule)
-        batch = variance_batch(LABEL)
-
-        async def run():
-            async with make_service(
-                executor=executor,
-                retry_policy=NO_BACKOFF,
-                breaker=CircuitBreaker("process", failure_threshold=1, reset_seconds=60.0),
-            ) as svc:
-                svc.register_database("star", int_star_db)
-                first = await svc.submit(GroupByRequest("star", batch, "price"))
-                second = await svc.submit(GroupByRequest("star", batch, "cityf"))
-                return first, second, svc.stats
-
-        first, second, stats = serve(run())
-        # Degraded runs are bit-identical to the clean path.
-        assert first == expected_groupby(int_star_db, int_star_query, "price")
-        assert second == expected_groupby(int_star_db, int_star_query, "cityf")
-        assert stats.breaker_state == "open"
-        assert ("process", "closed", "open") in [
-            tuple(t) for t in stats.breaker_transitions
-        ]
-        assert stats.retries == 1      # first request: process fail → retry
-        assert stats.degraded_runs == 2  # both answered on threads
-        # Second request skipped the open process stage entirely.
-        assert schedule.count("run_kernel") == 1
-
     def test_half_open_probe_recovers(self, int_star_db, int_star_query):
-        schedule = FaultSchedule().on("run_kernel", Fail(WorkerError), at=0)
-        pool = InlinePool()
-        executor = FaultyExecutor(pool, schedule)
+        schedule = FaultSchedule().on("run_groupby", Fail(TransientError), at=0)
         batch = variance_batch(LABEL)
 
         async def run():
-            async with make_service(
-                executor=executor,
-                retry_policy=NO_BACKOFF,
-                breaker=CircuitBreaker("process", failure_threshold=1, reset_seconds=0.0),
+            async with faulty_service(
+                schedule,
+                breaker=CircuitBreaker(failure_threshold=1, reset_seconds=0.0),
             ) as svc:
                 svc.register_database("star", int_star_db)
                 result = await svc.submit(GroupByRequest("star", batch, "price"))
@@ -537,31 +474,35 @@ class TestDegradation:
         # is the half-open probe; it succeeds and closes the breaker.
         assert breaker.trips == 1 and breaker.recoveries == 1
         assert stats.breaker_state == "closed"
-        assert stats.degraded_runs == 0  # the probe ran at process level
-        assert pool.calls == 1
+        assert stats.degraded_runs == 0  # the probe ran on the thread pool
+        assert schedule.count("run_groupby") == 2
 
     def test_thread_breaker_degrades_to_inline(self, int_star_db, int_star_query):
         schedule = FaultSchedule().on("run_groupby", Fail(TransientError), at=0)
         batch = variance_batch(LABEL)
 
         async def run():
-            # Pinned to the thread executor: this test is about the
-            # thread → inline rung of the ladder, regardless of any
-            # IFAQ_EXECUTOR=process override in the environment.
             async with faulty_service(
                 schedule,
-                executor="thread",
-                thread_breaker=CircuitBreaker("thread", failure_threshold=1, reset_seconds=60.0),
+                breaker=CircuitBreaker(failure_threshold=1, reset_seconds=60.0),
             ) as svc:
                 svc.register_database("star", int_star_db)
-                result = await svc.submit(GroupByRequest("star", batch, "price"))
-                return result, svc.stats
+                first = await svc.submit(GroupByRequest("star", batch, "price"))
+                second = await svc.submit(GroupByRequest("star", batch, "cityf"))
+                return first, second, svc.stats, svc._breaker
 
-        result, stats = serve(run())
-        assert result == expected_groupby(int_star_db, int_star_query)
-        assert stats.thread_breaker_state == "open"
-        assert stats.degraded_runs == 1  # answered inline on the loop
-        assert stats.retries == 1
+        first, second, stats, breaker = serve(run())
+        # Degraded runs are bit-identical to the clean path.
+        assert first == expected_groupby(int_star_db, int_star_query, "price")
+        assert second == expected_groupby(int_star_db, int_star_query, "cityf")
+        assert stats.breaker_state == "open"
+        assert ("thread", "closed", "open") in [
+            tuple(t) for t in stats.breaker_transitions
+        ]
+        assert stats.retries == 1  # first request: thread fail → retry
+        assert stats.degraded_runs == 2  # both answered inline on the loop
+        # The second request skipped the open thread stage entirely.
+        assert breaker.trips == 1 and breaker.failures == 1
 
     def test_reliability_section_in_stats(self, int_star_db):
         async def run():
@@ -577,8 +518,8 @@ class TestDegradation:
         assert section["max_queue_depth"] == 4
         assert section["queue_policy"] == "wait"
         assert section["retry"]["max_attempts"] >= 1
-        assert section["breakers"]["process"]["state"] == "closed"
-        assert section["breakers"]["thread"]["state"] == "closed"
+        assert section["breaker"]["name"] == "thread"
+        assert section["breaker"]["state"] == "closed"
 
 
 # -- write barrier under cancellation ---------------------------------------
@@ -634,26 +575,27 @@ class TestWriteBarrierCancellation:
 
 class TestProcessFaults:
     def test_worker_kill_retried_bit_identical(self, int_star_db, int_star_query):
-        schedule = FaultSchedule().on("run_kernel", KillWorker(0), at=0)
+        """A worker killed under a process-mode sharded run is recovered
+        by the sharded backend's own resubmission of the shard's
+        canonical block list, bit-identically."""
+        schedule = FaultSchedule().on("run_blocks", KillWorker(0), at=0)
         pool = ProcessKernelExecutor(workers=1)
-        executor = FaultyExecutor(pool, schedule)
-        batch = variance_batch(LABEL)
-
-        async def run():
-            async with make_service(
-                executor=executor, retry_policy=NO_BACKOFF
-            ) as svc:
-                svc.register_database("star", int_star_db)
-                result = await svc.submit(GroupByRequest("star", batch, "price"))
-                return result, svc.stats
-
+        inner = NumpyBackend(block_size=16)
+        sharded = ShardedBackend(
+            inner=inner, shards=2, mode="process",
+            executor=FaultyExecutor(pool, schedule),
+        )
+        tree = build_join_tree(
+            int_star_db.schema(), int_star_query.relations, stats=int_star_db.statistics()
+        )
+        plan = build_batch_plan(int_star_db, tree, variance_batch(LABEL), group_attr="price")
+        kernel = inner.compile_plan(plan, LAYOUT_SORTED)
         try:
-            result, stats = serve(run())
+            got = sharded.run_groupby(kernel, int_star_db)
         finally:
             pool.shutdown()
         # The kill produced the organic WorkerError, the pool respawned
-        # the worker, and the retry recomputed the same pure fold.
-        assert result == expected_groupby(int_star_db, int_star_query)
-        assert stats.retries == 1
-        assert stats.errors == 0
-        assert stats.degraded_runs == 0  # recovered at process level
+        # the worker, and the resubmitted shard recomputed the same fold.
+        assert got == inner.run_groupby(kernel, int_star_db)
+        assert sharded.last_retries == 1
+        assert len(schedule.log) == 1

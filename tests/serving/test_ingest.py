@@ -4,11 +4,6 @@ Every correctness assertion compares the served result after
 ``ingest`` against a *from-scratch* recompute of the same kernel on a
 deep copy of the mutated database (its own fresh column store) with
 ``==`` — bit identity, exactly like the backend delta tests.
-
-These tests run under both executor modes: the CI process-executor job
-re-runs them with ``IFAQ_EXECUTOR=process`` (``-k ingest``), where
-views are created without delta state (worker runs can't ship it back)
-and the first ingest re-establishes state parent-side.
 """
 
 from __future__ import annotations
@@ -115,10 +110,7 @@ class TestIngestCorrectness:
         stats = serve(run())
         assert stats.ingests == 2 and stats.ingest_rows == 137
         assert stats.view_hits >= 2  # post-ingest submits served from the view
-        # Thread executor: both ingests fold deltas.  Process executor:
-        # the first ingest re-establishes state, the second folds.
-        assert stats.delta_runs >= 1
-        assert stats.delta_runs + stats.full_recomputes == 2
+        assert stats.delta_runs == 2 and stats.full_recomputes == 0
 
     def test_plain_view_stays_fresh(self, int_star_db, int_star_query):
         batch = covar_batch(FEATURES, label=LABEL)
@@ -224,8 +216,7 @@ class TestIngestBundles:
         group_req = GroupByRequest("ds", group_batch, group_attr)
 
         async def run():
-            # Thread executor: worker-process runs ship no delta state.
-            async with make_service(executor="thread") as svc:
+            async with make_service() as svc:
                 svc.register_database("ds", ds.db)
                 await svc.submit(plain_req)
                 await svc.submit(group_req)
@@ -268,9 +259,7 @@ class TestIngestMechanics:
         expected_before = oracle.groupby(batch, "units")
 
         async def run():
-            async with make_service(
-                backend=SlowBackend(block_size=16), executor="thread"
-            ) as svc:
+            async with make_service(backend=SlowBackend(block_size=16)) as svc:
                 svc.register_database("star", int_star_db)
                 req = GroupByRequest("star", batch, "units")
                 inflight = asyncio.ensure_future(svc.submit(req))
@@ -303,8 +292,7 @@ class TestIngestMechanics:
             req = AggregateRequest("star", batch, predicates=predicates)
 
             async def run():
-                # Thread executor: worker-process runs ship no delta state.
-                async with make_service(executor="thread") as svc:
+                async with make_service() as svc:
                     svc.register_database("star", int_star_db)
                     await svc.submit(req)
                     reports = [

@@ -165,8 +165,6 @@ class TestCoalescing:
                 return results, svc.stats
 
         results, stats = serve(run())
-        # stats.runs (not a backend-side counter) so the assertion holds
-        # for thread and process executors alike.
         assert stats.requests == 16
         assert stats.coalesced == 15
         assert stats.runs == 1
@@ -363,12 +361,7 @@ class TestLifecycleAndStats:
         backend = SlowBackend()
 
         async def run():
-            # Pinned to the thread executor: the backend blocks on
-            # parent-process threading.Events, which cannot cross into
-            # a pool worker.
-            async with make_service(
-                backend=backend, max_workers=1, executor="thread"
-            ) as svc:
+            async with make_service(backend=backend, max_workers=1) as svc:
                 svc.register_database("star", int_star_db)
                 req = GroupByRequest("star", batch, "price")
                 first = asyncio.ensure_future(svc.submit(req))
@@ -411,9 +404,7 @@ class TestLifecycleAndStats:
         batch = variance_batch(LABEL)
 
         async def run():
-            # Pinned to the thread executor: this asserts on the
-            # *parent-side* store, which process workers never build.
-            async with make_service(executor="thread") as svc:
+            async with make_service() as svc:
                 svc.register_database("star", int_star_db)
                 await svc.submit(GroupByRequest("star", batch, "price"))
                 assert peek_column_store(int_star_db) is not None
@@ -444,9 +435,7 @@ class TestLifecycleAndStats:
         batch = variance_batch(LABEL)
 
         async def run():
-            # Thread executor: the byte estimate reads the parent-side
-            # store, which process workers build on their side instead.
-            async with make_service(executor="thread") as svc:
+            async with make_service() as svc:
                 svc.register_database("star", int_star_db)
                 await svc.submit(GroupByRequest("star", batch, "price"))
                 return svc.stats_dict()
@@ -478,109 +467,11 @@ class TestLifecycleAndStats:
         with pytest.raises((TypeError, AttributeError)):
             serve(run())
 
-
-class LockedNumpyBackend(NumpyBackend):
-    """A backend that cannot cross the process boundary."""
-
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self._lock = threading.Lock()  # unpicklable on purpose
-
-
-class TestProcessExecutor:
-    """The GIL-escape path: serving through worker processes."""
-
-    def _run_all(self, svc_kwargs, int_star_db):
-        batch = variance_batch(LABEL)
-        cov = covar_batch(FEATURES, label=LABEL)
-        preds = {"I": [Condition("price", "<=", 25.0)]}
-
-        async def run():
-            async with make_service(**svc_kwargs) as svc:
-                svc.register_database("star", int_star_db)
-                plain = await svc.submit(AggregateRequest("star", cov))
-                plain_p = await svc.submit(
-                    AggregateRequest("star", cov, predicates=preds)
-                )
-                group = await svc.submit(GroupByRequest("star", batch, "price"))
-                group_p = await svc.submit(
-                    GroupByRequest("star", batch, "price", predicates=preds)
-                )
-                multi = await svc.submit(
-                    MultiGroupByRequest("star", batch, ("price", "cityf"))
-                )
-                fanout = await svc.submit_many(
-                    GroupByRequest("star", batch, attr)
-                    for attr in ("price", "cityf", "item")
-                )
-                return [plain, plain_p, group, group_p, multi, fanout]
-
-        return serve(run())
-
-    def test_process_results_bit_identical_to_thread(self, int_star_db):
-        reference = self._run_all({"executor": "thread"}, int_star_db)
-        via_processes = self._run_all(
-            {"executor": "process", "backend": NumpyBackend()}, int_star_db
-        )
-        assert via_processes == reference  # float dicts: == is bit identity
-
-    def test_env_variable_selects_process_executor(self, int_star_db, monkeypatch):
-        monkeypatch.setenv("IFAQ_EXECUTOR", "process")
-        monkeypatch.setenv("IFAQ_PROC_WORKERS", "2")
-        batch = variance_batch(LABEL)
-
-        async def run():
-            async with make_service(backend=NumpyBackend()) as svc:
-                assert svc._process_executor is not None
-                assert svc._process_executor.workers == 2
-                assert svc.stats_dict()["executor"]["kind"] == "process"
-                svc.register_database("star", int_star_db)
-                return await svc.submit(GroupByRequest("star", batch, "price"))
-
-        result = serve(run())
-        assert result  # and it actually answers requests
-
-    def test_unpicklable_backend_falls_back_inline(
-        self, int_star_db, int_star_query
-    ):
-        batch = variance_batch(LABEL)
-
-        async def run():
-            async with make_service(
-                backend=LockedNumpyBackend(), executor="process"
-            ) as svc:
-                svc.register_database("star", int_star_db)
-                return await svc.submit(GroupByRequest("star", batch, "price"))
-
-        result = serve(run())
-        expected = compute_groupby(
-            int_star_db,
-            join_tree(int_star_db, int_star_query),
-            batch,
-            "price",
-            backend="numpy",
-            kernel_cache=KernelCache(),
-        )
-        assert result == expected
-
-    def test_worker_errors_keep_original_type(self, int_star_db):
-        bad = variance_batch("no_such_attribute")
-
-        async def run():
-            async with make_service(
-                backend=NumpyBackend(), executor="process"
-            ) as svc:
-                svc.register_database("star", int_star_db)
-                return await asyncio.gather(
-                    *(
-                        svc.submit(GroupByRequest("star", bad, "price"))
-                        for _ in range(2)
-                    ),
-                    return_exceptions=True,
-                )
-
-        outcomes = serve(run())
-        assert all(isinstance(o, Exception) for o in outcomes)
+    def test_only_thread_executor_accepted(self):
+        # Kernels run on the service's thread pool only; worker
+        # processes belong to a process-mode ShardedBackend.
+        with pytest.raises(ValueError, match="executor"):
+            AggregateService(backend=NumpyBackend(), executor="process")
 
 
 class TestStoreBudget:
@@ -596,7 +487,7 @@ class TestStoreBudget:
             # coalesce=False keeps no views, so the repeat request below
             # really runs against "a" instead of hitting its view.
             async with make_service(
-                executor="thread", store_budget_bytes=1, coalesce=False
+                store_budget_bytes=1, coalesce=False
             ) as svc:
                 svc.register_database("a", int_star_db)
                 svc.register_database("b", twin_db)
@@ -626,7 +517,7 @@ class TestStoreBudget:
         batch = variance_batch(LABEL)
 
         async def run():
-            async with make_service(executor="thread") as svc:
+            async with make_service() as svc:
                 svc.register_database("a", int_star_db)
                 await svc.submit(GroupByRequest("a", batch, "price"))
                 return svc.stats.store_trims, peek_column_store(int_star_db)
