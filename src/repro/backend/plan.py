@@ -29,6 +29,12 @@ serving layer's request coalescing):
 4. Any change to a code generator's output for the same plan must bump
    ``repro.backend.cache.CODEGEN_TAG`` — fingerprints deliberately do
    not hash the generator version.
+5. Plans are immutable once :func:`build_batch_plan` returns, so
+   fingerprints are memoized per ``(layout, backend)`` on the plan
+   instance: a tree node or serving request resolving its kernel pays
+   one dict lookup, not a sha256 over the whole plan (and, for a
+   :class:`MultiBatchPlan`, over every member).  The memo is not part
+   of plan equality and travels with the plan through ``pickle``.
 """
 
 from __future__ import annotations
@@ -84,6 +90,10 @@ class BatchPlan:
     batch: AggregateBatch
     #: grouping attribute (``None`` for plain scalar batches)
     group_attr: str | None = None
+    #: (layout, backend) → fingerprint; see contract point 5
+    _fingerprints: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def num_aggregates(self) -> int:
@@ -104,6 +114,9 @@ class BatchPlan:
         ``IFAQCompiler.compile`` time can be reused for every later
         execution and across repeated compilations.
         """
+        memo = self._fingerprints.get((layout, backend))
+        if memo is not None:
+            return memo
         parts: list[str] = [backend]
         if self.group_attr is not None:
             parts.append(f"groupby={self.group_attr}")
@@ -125,8 +138,9 @@ class BatchPlan:
             )
         for spec in self.batch:
             parts.append(spec.name + ":" + ",".join(spec.attrs))
-        digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
-        return digest[:16]
+        digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+        self._fingerprints[(layout, backend)] = digest
+        return digest
 
     def scan_fingerprint(self) -> str:
         """Identity of the plan's *scan* — everything except the
@@ -175,6 +189,10 @@ class MultiBatchPlan:
     """
 
     plans: list[BatchPlan]
+    #: (layout, backend) → fingerprint; see contract point 5
+    _fingerprints: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.plans:
@@ -200,8 +218,12 @@ class MultiBatchPlan:
         return self.plans[0].num_aggregates
 
     def fingerprint(self, layout=None, backend: str = "") -> str:
-        parts = ["multi"] + [p.fingerprint(layout, backend) for p in self.plans]
-        return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+        memo = self._fingerprints.get((layout, backend))
+        if memo is None:
+            parts = ["multi"] + [p.fingerprint(layout, backend) for p in self.plans]
+            memo = hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+            self._fingerprints[(layout, backend)] = memo
+        return memo
 
 
 def build_batch_plan(
@@ -223,11 +245,13 @@ def build_batch_plan(
     relation (the LMFAO multi-root trick) and the grouping column joins
     the root's column order, producing a group-by plan.
 
-    ``key_stats`` is an optional memo for the per-child distinct-key
-    counts, keyed by ``(relation, join_attrs)``.  The counts scan whole
-    relations; callers planning many plans over the same database (the
-    tree learner plans one group-by per feature) pass a shared dict so
-    each (relation, key) pair is counted once instead of once per plan.
+    The distinct-key counts come from
+    :meth:`~repro.db.relation.Relation.distinct_key_count`, memoized on
+    the relation until its next append, so planning many plans over one
+    database (one group-by per tree feature, every serving batch) counts
+    each ``(relation, join_attrs)`` pair once.  ``key_stats`` is kept
+    only for the benchmark harness, which passes a dict; it receives
+    the counts, keyed by ``(relation, join_attrs)``.
     """
     if group_attr is not None:
         from repro.aggregates.join_tree import reroot
@@ -238,15 +262,9 @@ def build_batch_plan(
     owners = assign_attribute_owners(tree, db, batch.all_attributes())
 
     def distinct_keys(parent: JoinTreeNode, child: JoinTreeNode) -> int:
-        memo_key = (parent.relation, child.join_attrs)
-        if key_stats is not None and memo_key in key_stats:
-            return key_stats[memo_key]
-        rel = db.relation(parent.relation)
-        count = len({
-            tuple(rec[a] for a in child.join_attrs) for rec in rel.data
-        })
+        count = db.relation(parent.relation).distinct_key_count(child.join_attrs)
         if key_stats is not None:
-            key_stats[memo_key] = count
+            key_stats[(parent.relation, child.join_attrs)] = count
         return count
 
     def build(node: JoinTreeNode, is_root: bool = False) -> NodePlan:

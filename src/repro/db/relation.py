@@ -15,7 +15,7 @@ Conversions are provided by this module and :mod:`repro.db.trie`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
 from repro.db.schema import RelationSchema
@@ -62,6 +62,10 @@ class Relation:
 
     schema: RelationSchema
     data: dict[RecordValue, int]
+    #: join attributes → distinct key count; cleared by append_rows
+    _distinct_keys: dict[tuple[str, ...], int] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     # -- construction ---------------------------------------------------
 
@@ -103,6 +107,7 @@ class Relation:
         """
         names = self.schema.attribute_names()
         old_records = len(self.data)
+        self._distinct_keys.clear()
         fresh = bumped = 0
         batch_new: set[RecordValue] = set()
         for row in rows:
@@ -142,6 +147,16 @@ class Relation:
 
     def distinct_count(self) -> int:
         return len(self.data)
+
+    def distinct_key_count(self, attrs: tuple[str, ...]) -> int:
+        """Number of distinct ``attrs`` projections, memoized until the
+        next :meth:`append_rows` (the planner orders join-tree children
+        by it, once per plan)."""
+        count = self._distinct_keys.get(attrs)
+        if count is None:
+            count = len({tuple(rec[a] for a in attrs) for rec in self.data})
+            self._distinct_keys[attrs] = count
+        return count
 
     def __iter__(self) -> Iterator[tuple[RecordValue, int]]:
         return iter(self.data.items())

@@ -16,6 +16,12 @@ compiler driver: the per-feature group-by plans compile once into
 cached kernels, and every subsequent tree node is a
 :class:`~repro.backend.cache.KernelCache` hit with only the δ
 predicates changing at execution time.
+
+Nodes below the depth cap cannot split, so they skip the split search:
+a depth-cap leaf needs only its ``(count, Σy, Σy²)`` totals, which one
+group-by of the first feature yields — one single-plan run instead of
+the node's F-feature fused run, with the same numbers the fused run's
+first member would give.
 """
 
 from __future__ import annotations
@@ -35,11 +41,15 @@ from repro.db.query import JoinQuery
 
 @dataclass(frozen=True)
 class Condition:
-    """One decision ``x[feature] op threshold`` (op ∈ {"<=", ">"})."""
+    """One decision ``x[feature] op threshold`` (op ∈ {"<=", ">"}).
+
+    Numeric features split at a midpoint; categorical (string) features
+    split at a value, ordered as the group-by sorts them.
+    """
 
     feature: str
     op: str
-    threshold: float
+    threshold: Any
 
     def holds(self, record: Mapping[str, Any]) -> bool:
         value = record[self.feature]
@@ -55,7 +65,9 @@ class Condition:
     __call__ = holds
 
     def __repr__(self) -> str:
-        return f"x.{self.feature} {self.op} {self.threshold:g}"
+        if isinstance(self.threshold, (int, float)):
+            return f"x.{self.feature} {self.op} {self.threshold:g}"
+        return f"x.{self.feature} {self.op} {self.threshold!r}"
 
 
 @dataclass
@@ -121,7 +133,15 @@ class IFAQRegressionTree:
     the per-node group-by batches through the backend registry
     (``backend`` picks the executor, default ``"engine"``); the
     per-feature kernels compile once and every later node is a
-    kernel-cache hit.  Both methods produce the same tree.
+    kernel-cache hit.  Both methods produce the same tree up to exact
+    cost ties (see ROADMAP.md item 12): the vectorized scorer sums in
+    numpy order, the interpreted one sequentially, so two candidates
+    whose costs tie exactly in one may not tie in the other.
+
+    Splits are searched only while ``depth ≤ max_depth``; a node below
+    the cap is a leaf whose totals come from one group-by of the first
+    feature (vectorized: straight from the node mask), not from the
+    F-feature split search.
 
     With ``fuse_node_batches`` (default) the interpreted path submits
     all F feature group-bys of a node as **one fused**
@@ -177,12 +197,11 @@ class IFAQRegressionTree:
             )
             # One group-by plan per feature, planned once: every tree
             # node below reuses the compiled kernel through the cache.
-            # The distinct-key statistics are shared across the feature
-            # plans (each would otherwise rescan the same relations).
+            # The distinct-key counts the planner orders children by
+            # are memoized on the relations, so refits count none.
             batch = variance_batch(self.label)
-            key_stats: dict = {}
             self._groupby_plans = {
-                f: build_batch_plan(db, tree, batch, group_attr=f, key_stats=key_stats)
+                f: build_batch_plan(db, tree, batch, group_attr=f)
                 for f in self.features
             }
             self._multi_plan = (
@@ -208,6 +227,8 @@ class IFAQRegressionTree:
         node_sum = float(engine.wy[mask].sum())
         node_sum_sq = float(engine.wy_sq[mask].sum())
         prediction = node_sum / node_count
+        if depth > self.max_depth:
+            return TreeNode(prediction=prediction, count=node_count)
         node_cost = node_sum_sq - node_sum * node_sum / node_count
 
         best: tuple[float, Condition] | None = None
@@ -217,11 +238,7 @@ class IFAQRegressionTree:
             if split is not None and (best is None or split[0] < best[0]):
                 best = split
 
-        if (
-            best is None
-            or depth > self.max_depth
-            or node_cost - best[0] <= self.min_improvement
-        ):
+        if best is None or node_cost - best[0] <= self.min_improvement:
             return TreeNode(prediction=prediction, count=node_count)
 
         condition = best[1]
@@ -281,9 +298,11 @@ class IFAQRegressionTree:
         costs = np.where(valid, costs, np.inf)
         pick = int(np.argmin(costs))  # first minimum — same tie-break as
         b = int(boundaries[pick])     # the sequential strict-< scan
-        lo, hi = values[b - 1], values[b]
-        threshold = (float(lo) + float(hi)) / 2 if isinstance(lo, (int, float, np.floating, np.integer)) else lo
-        return float(costs[pick]), Condition(feature, "<=", float(threshold))
+        lo, hi = values[b - 1 : b + 1].tolist()  # unboxed to Python values
+        # Same threshold rule as the interpreted scorer: the midpoint
+        # between numeric neighbours, the lower value for categories.
+        threshold = (lo + hi) / 2 if isinstance(lo, (int, float)) else lo
+        return float(costs[pick]), Condition(feature, "<=", threshold)
 
     # -- recursive construction ---------------------------------------------
 
@@ -305,6 +324,30 @@ class IFAQRegressionTree:
     ) -> TreeNode | None:
         predicates = self._predicates(conditions)
         batch = variance_batch(self.label)
+
+        # Root has depth 1; splits are allowed while depth ≤ max_depth,
+        # giving at most 2^(max_depth+1) − 1 nodes (31 for depth 4).
+        # Below the cap the node is a leaf: its totals come from one
+        # group-by of the first feature — the same numbers the fused
+        # bundle's first member yields — with no split search.
+        if depth > self.max_depth:
+            feature = self.features[0]
+            groups = compute_groupby(
+                db,
+                tree,
+                batch,
+                feature,
+                predicates,
+                backend=self._backend_impl,
+                kernel_cache=self.kernel_cache,
+                plan=self._groupby_plans.get(feature),
+            )
+            if not groups:
+                return None
+            node_count, node_sum, _ = _totals(sorted(groups.items()))
+            if node_count <= 0:
+                return None
+            return TreeNode(prediction=node_sum / node_count, count=node_count)
 
         best: tuple[float, Condition] | None = None
         node_count = node_sum = node_sum_sq = None
@@ -343,7 +386,7 @@ class IFAQRegressionTree:
             if not groups:
                 return None
             stats = sorted(groups.items())
-            total = [sum(g[i] for _, g in stats) for i in range(3)]
+            total = _totals(stats)
             if node_count is None:
                 node_count, node_sum, node_sum_sq = total
             split = self._best_split(feature, stats, total)
@@ -356,13 +399,7 @@ class IFAQRegressionTree:
         prediction = node_sum / node_count
         node_cost = node_sum_sq - node_sum * node_sum / node_count
 
-        # Root has depth 1; splits are allowed while depth ≤ max_depth,
-        # giving at most 2^(max_depth+1) − 1 nodes (31 for depth 4).
-        if (
-            best is None
-            or depth > self.max_depth
-            or node_cost - best[0] <= self.min_improvement
-        ):
+        if best is None or node_cost - best[0] <= self.min_improvement:
             return TreeNode(prediction=prediction, count=node_count)
 
         condition = best[1]
@@ -429,6 +466,12 @@ class IFAQRegressionTree:
         if self.root_ is None:
             raise RuntimeError("model is not fitted")
         return self.root_.predict(record)
+
+
+def _totals(stats: list[tuple[Any, list[float]]]) -> list[float]:
+    """``(count, Σy, Σy²)`` over a node's sorted groups, summed in
+    group order so every node computes its totals the same way."""
+    return [sum(g[i] for _, g in stats) for i in range(3)]
 
 
 def _attribute_owners(

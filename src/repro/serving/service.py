@@ -208,8 +208,6 @@ class _Registration:
     #: request must never join an in-flight execution that is still
     #: running against the replaced database.
     generation: int = 0
-    #: shared distinct-key statistics for plan construction
-    key_stats: dict = field(default_factory=dict)
     #: (batch, group_attr) → BatchPlan;  (batch, group_attrs) → MultiBatchPlan
     plans: dict = field(default_factory=dict)
     #: loop time of the last dispatched run (the store-trim LRU order)
@@ -805,13 +803,7 @@ class AggregateService:
         memo_key = (batch, group_attr)
         plan = reg.plans.get(memo_key)
         if plan is None:
-            plan = build_batch_plan(
-                reg.db,
-                reg.tree,
-                batch,
-                group_attr=group_attr,
-                key_stats=reg.key_stats,
-            )
+            plan = build_batch_plan(reg.db, reg.tree, batch, group_attr=group_attr)
             reg.plans[memo_key] = plan
         return plan
 

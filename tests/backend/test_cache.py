@@ -2,11 +2,12 @@
 single-flight concurrent compiles, cross-process source persistence."""
 
 import math
+import pickle
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.aggregates import build_join_tree, covar_batch
+from repro.aggregates import build_join_tree, covar_batch, variance_batch
 from repro.backend import (
     EngineBackend,
     KernelCache,
@@ -17,6 +18,7 @@ from repro.backend import (
     load_kernel_source,
 )
 from repro.backend.layout import LAYOUT_ARRAYS, LAYOUT_SORTED
+from repro.backend.plan import MultiBatchPlan
 from repro.compiler import IFAQCompiler
 from repro.data import star_schema
 from repro.ml.programs import linear_regression_bgd
@@ -45,6 +47,52 @@ class TestFingerprint:
             plan.fingerprint(LAYOUT_SORTED, "engine:trie"),
         }
         assert len(fps) == 4
+
+
+#: the (layout, backend) grid the fingerprint tests distinguish
+FINGERPRINT_GRID = [
+    (LAYOUT_SORTED, "python"),
+    (LAYOUT_ARRAYS, "python"),
+    (LAYOUT_SORTED, "cpp"),
+    (LAYOUT_SORTED, "engine:trie"),
+    (None, ""),
+]
+
+
+def make_multi_plan(db, query):
+    tree = build_join_tree(db.schema(), query.relations, stats=db.statistics())
+    return MultiBatchPlan(
+        [
+            build_batch_plan(db, tree, variance_batch("units"), group_attr=attr)
+            for attr in ("cityf", "price")
+        ]
+    )
+
+
+class TestFingerprintMemo:
+    """Plans are immutable once built, so fingerprints are memoized per
+    (layout, backend); a memoized value must equal a fresh plan's."""
+
+    def test_memoized_equals_fresh(self, int_star_db, int_star_query):
+        for make in (make_plan, make_multi_plan):
+            memoized = make(int_star_db, int_star_query)
+            for layout, backend in FINGERPRINT_GRID * 2:  # second pass: memo hits
+                fresh = make(int_star_db, int_star_query)
+                assert memoized.fingerprint(layout, backend) == fresh.fingerprint(
+                    layout, backend
+                )
+
+    def test_memo_survives_pickle(self, int_star_db, int_star_query):
+        for make in (make_plan, make_multi_plan):
+            plan = make(int_star_db, int_star_query)
+            for layout, backend in FINGERPRINT_GRID:
+                plan.fingerprint(layout, backend)
+            clone = pickle.loads(pickle.dumps(plan))
+            assert clone == plan
+            for layout, backend in FINGERPRINT_GRID:
+                assert clone.fingerprint(layout, backend) == make(
+                    int_star_db, int_star_query
+                ).fingerprint(layout, backend)
 
 
 class CountingBackend(PythonKernelBackend):

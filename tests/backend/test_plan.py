@@ -17,6 +17,7 @@ from repro.backend.plan import (
     prepare_sorted,
     prepare_tuple_dicts,
 )
+from repro.db import Database, Relation
 
 
 def make_plan(db, query):
@@ -44,6 +45,54 @@ class TestBuildPlan:
         for i, spec in enumerate(plan.batch.specs):
             total = sum(len(n.owned_per_spec[i]) for n in plan.root.walk())
             assert total == spec.degree
+
+
+class TestDistinctKeyMemo:
+    """The planner orders children by distinct join keys, memoized on
+    the relation until its next append."""
+
+    def test_relation_append_invalidates(self, int_star_db):
+        sales = int_star_db.relation("S")
+        assert sales.distinct_key_count(("store",)) == 5
+        sales.append_rows([(0, 5, 1.0)])
+        assert sales.distinct_key_count(("store",)) == 6
+
+    def test_database_append_invalidates(self, int_star_db):
+        sales = int_star_db.relation("S")
+        assert sales.distinct_key_count(("store",)) == 5
+        int_star_db.append_rows("S", [(0, 5, 1.0), (0, 6, 1.0)])
+        assert sales.distinct_key_count(("store",)) == 7
+
+    def test_memo_is_not_part_of_equality(self, int_star_db):
+        sales = int_star_db.relation("S")
+        copy = Relation(sales.schema, dict(sales.data))
+        sales.distinct_key_count(("item",))
+        assert sales == copy
+
+    def test_rebuilt_plan_after_order_flipping_append(self, int_star_db, int_star_query):
+        before = make_plan(int_star_db, int_star_query)
+        assert [c.relation for c in before.root.children] == ["R", "I"]
+        # 15 new stores: S now has more distinct stores (20) than items
+        # (12), so R must move after I in the root's child order.
+        int_star_db.append_rows("S", [(0, s, 1.0) for s in range(5, 20)])
+        rebuilt = make_plan(int_star_db, int_star_query)
+        fresh_db = Database.of(
+            *(Relation(r.schema, dict(r.data)) for r in int_star_db)
+        )
+        assert [c.relation for c in rebuilt.root.children] == ["I", "R"]
+        assert rebuilt == make_plan(fresh_db, int_star_query)
+
+    def test_key_stats_dict_is_filled(self, int_star_db, int_star_query):
+        tree = build_join_tree(
+            int_star_db.schema(), int_star_query.relations, stats=int_star_db.statistics()
+        )
+        key_stats: dict = {}
+        plan = build_batch_plan(
+            int_star_db, tree, covar_batch(["cityf", "price"], label="units"),
+            key_stats=key_stats,
+        )
+        assert key_stats == {("S", ("store",)): 5, ("S", ("item",)): 12}
+        assert plan == make_plan(int_star_db, int_star_query)
 
 
 class TestLoaders:

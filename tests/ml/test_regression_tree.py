@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.backend import KernelCache, NumpyBackend
 from repro.data import star_schema
 from repro.ml import (
     BaselineRegressionTree,
@@ -118,6 +119,111 @@ class TestRegistryPath:
                 ds.features, ds.label, max_depth=2, kernel_cache=cache
             ).fit(ds.db, ds.query)
         assert cache.stats.misses == 1 and cache.stats.hits == 1
+
+
+class CountingNumpyBackend(NumpyBackend):
+    """Numpy backend that counts single and fused group-by runs."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.groupby_calls = 0
+        self.groupby_many_calls = 0
+
+    def run_groupby(self, kernel, db, predicates=None):
+        self.groupby_calls += 1
+        return super().run_groupby(kernel, db, predicates)
+
+    def run_groupby_many(self, kernel, db, predicates=None):
+        self.groupby_many_calls += 1
+        return super().run_groupby_many(kernel, db, predicates)
+
+
+def nodes_by_depth(node, depth=1):
+    yield node, depth
+    if not node.is_leaf():
+        yield from nodes_by_depth(node.left, depth + 1)
+        yield from nodes_by_depth(node.right, depth + 1)
+
+
+class TestLeafRule:
+    """A node below the depth cap is a leaf: it runs one single-plan
+    group-by for its totals instead of the fused split search."""
+
+    MAX_DEPTH = 3
+
+    def fit(self, ds, **kwargs):
+        return IFAQRegressionTree(
+            ds.features,
+            ds.label,
+            max_depth=self.MAX_DEPTH,
+            method="interpreted",
+            kernel_cache=KernelCache(),
+            **kwargs,
+        ).fit(ds.db, ds.query)
+
+    def test_one_fused_run_per_internal_node(self, dataset):
+        backend = CountingNumpyBackend()
+        root = self.fit(dataset, backend=backend).root_
+        depths = list(nodes_by_depth(root))
+        internal = sum(1 for node, _ in depths if not node.is_leaf())
+        capped = sum(1 for node, d in depths if d > self.MAX_DEPTH)
+        searched = sum(1 for _, d in depths if d <= self.MAX_DEPTH)
+        assert capped > 0 and searched == internal  # a full depth-3 tree
+        assert backend.groupby_many_calls == internal
+        assert backend.groupby_calls == capped
+
+    def test_unfused_leaves_run_one_groupby(self, dataset):
+        backend = CountingNumpyBackend()
+        root = self.fit(dataset, backend=backend, fuse_node_batches=False).root_
+        depths = list(nodes_by_depth(root))
+        internal = sum(1 for node, _ in depths if not node.is_leaf())
+        capped = sum(1 for _, d in depths if d > self.MAX_DEPTH)
+        assert backend.groupby_many_calls == 0
+        assert backend.groupby_calls == internal * len(dataset.features) + capped
+
+    def test_same_tree_unfused_and_on_engine(self, dataset):
+        fused = self.fit(dataset, backend="numpy").root_
+        assert fused == self.fit(dataset, backend="numpy", fuse_node_batches=False).root_
+        assert fused == self.fit(dataset, backend="engine").root_
+
+    def test_vectorized_leaves_skip_feature_groupbys(self, dataset, monkeypatch):
+        from repro.ml.tree_engine import VectorizedTreeEngine
+
+        calls = []
+        original = VectorizedTreeEngine.groupby
+        monkeypatch.setattr(
+            VectorizedTreeEngine,
+            "groupby",
+            lambda engine, feature, mask: calls.append(feature) or original(engine, feature, mask),
+        )
+        root = IFAQRegressionTree(
+            dataset.features, dataset.label, max_depth=self.MAX_DEPTH
+        ).fit(dataset.db, dataset.query).root_
+        searched = sum(1 for _, d in nodes_by_depth(root) if d <= self.MAX_DEPTH)
+        assert len(calls) == searched * len(dataset.features)
+
+
+class TestCategoricalFeature:
+    """String features split at a category value, on every path."""
+
+    FEATURES = ["store", "item", "price"]
+
+    @pytest.mark.parametrize("backend", ["engine", "numpy"])
+    def test_vectorized_equals_interpreted(self, paper_db, paper_query, backend):
+        vec = IFAQRegressionTree(self.FEATURES, "units", max_depth=3).fit(
+            paper_db, paper_query
+        )
+        interp = IFAQRegressionTree(
+            self.FEATURES, "units", max_depth=3, method="interpreted", backend=backend
+        ).fit(paper_db, paper_query)
+        assert vec.root_ == interp.root_
+        assert isinstance(vec.root_.condition.threshold, str)
+
+    def test_pretty_and_repr(self, paper_db, paper_query):
+        tree = IFAQRegressionTree(["store"], "units", max_depth=1).fit(paper_db, paper_query)
+        assert repr(tree.root_.condition) == "x.store <= 's1'"
+        assert "if x.store <= 's1':" in tree.root_.pretty()
+        assert repr(Condition("a", "<=", 1.5)) == "x.a <= 1.5"
 
 
 class TestMechanics:
