@@ -8,7 +8,7 @@ Chains the layers::
       → aggregate extraction + join tree    (Section 4.3)
       → physical plan + kernel compilation  (backend registry + cache)
       → batch execution                     (engine / Python / C++ / sharded)
-      → residual program execution
+      → residual program execution          (generated Python function)
 
 Every stage's artifact is kept on :class:`CompilationArtifacts` so the
 micro-benchmarks can time any stage's output in isolation and tests can
@@ -35,6 +35,14 @@ query, ``q_var``, ``aggregate_mode``, ``layout`` and the backend's
 kernel key.  A hit skips the whole frontend and only re-binds the
 parameter inits; an ``append_rows`` or a reassigned ``backend`` /
 ``layout`` is a miss.
+
+The residual — what extraction leaves of the program, for BGD the loop
+over the covar matrix — is generated once per compilation as a Python
+function (:func:`~repro.interp.codegen.compile_residual`) taking the
+parameters as arguments, so a hit re-runs the same function with the new
+values.  :meth:`IFAQCompiler.run_artifacts` executes residuals only that
+way; the :class:`~repro.interp.Interpreter` is the oracle the generated
+code is tested against.
 """
 
 from __future__ import annotations
@@ -56,9 +64,10 @@ from repro.backend.plan import BatchPlan, build_batch_plan
 from repro.backend.registry import get_backend
 from repro.db.database import Database
 from repro.db.query import JoinQuery
-from repro.interp.interpreter import Interpreter
+from repro.interp.codegen import ResidualFunction, compile_residual
 from repro.ir.expr import Const, Expr
 from repro.ir.program import Program
+from repro.ir.types import REAL, RecordType
 from repro.opt.pipeline import HighLevelOptimizer
 from repro.runtime.values import RecordValue
 from repro.typing.specialize import schema_specialize
@@ -70,6 +79,9 @@ Backend = Literal["engine", "python", "cpp", "numpy", "sharded"]
 
 #: compilations an :class:`IFAQCompiler` keeps for parameter-only re-runs
 COMPILE_CACHE_SIZE = 8
+
+#: the record the residual reads the batch's aggregates from
+AGGS_VAR = "__aggs"
 
 
 def _parameters(program: Program) -> dict[str, Const]:
@@ -129,6 +141,8 @@ class CompilationArtifacts:
     batch: AggregateBatch
     join_tree: JoinTreeNode | None
     plan: BatchPlan | None
+    #: ``residual`` generated as Python — what ``run_artifacts`` executes
+    residual_fn: ResidualFunction = field(repr=False, compare=False)
     kernel_source: str | None = None
     compile_seconds: float = 0.0
     state_type: Any = None
@@ -230,7 +244,7 @@ class IFAQCompiler:
             # The entry pins the database and its relations, so the ids
             # in its key cannot be reused while it lives.  Kernels are not
             # kept: they pin column-store arrays.
-            entry = (self._frontend(program), (db, tuple(db)))
+            entry = (self._frontend(program, parameters), (db, tuple(db)))
             with self._compiled_lock:
                 self._compiled[key] = entry
                 while len(self._compiled) > COMPILE_CACHE_SIZE:
@@ -257,9 +271,9 @@ class IFAQCompiler:
             artifacts.compile_seconds = kernel.compile_seconds
         return artifacts
 
-    def _frontend(self, program: Program) -> CompilationArtifacts:
-        """Every stage up to the physical plan (the kernel is attached by
-        :meth:`compile`)."""
+    def _frontend(self, program: Program, parameters: dict[str, Const]) -> CompilationArtifacts:
+        """Every stage up to the physical plan and the generated residual
+        (the kernel is attached by :meth:`compile`)."""
         optimizer = HighLevelOptimizer(stats=dict(self.db.statistics()))
         optimized = optimizer.optimize_program(program)
 
@@ -269,7 +283,13 @@ class IFAQCompiler:
         specialized = schema_specialize(optimized, relation_types)
         state_type = typecheck_program(specialized, relation_types)
 
-        residual, batch = extract_program_aggregates(specialized, q_var=self.q_var)
+        residual, batch = extract_program_aggregates(
+            specialized, q_var=self.q_var, aggs_var=AGGS_VAR
+        )
+        residual_types = dict(relation_types)
+        if len(batch):
+            residual_types[AGGS_VAR] = RecordType(tuple((name, REAL) for name in batch.names()))
+        residual_fn = compile_residual(residual, residual_types, parameters)
 
         join_tree = None
         plan = None
@@ -287,6 +307,7 @@ class IFAQCompiler:
             batch=batch,
             join_tree=join_tree,
             plan=plan,
+            residual_fn=residual_fn,
             state_type=state_type,
         )
 
@@ -320,15 +341,16 @@ class IFAQCompiler:
         return self.run_artifacts(artifacts)
 
     def run_artifacts(self, artifacts: CompilationArtifacts) -> Any:
+        """Evaluate the batch, then run the generated residual on it."""
         aggs = self.compute_batch(artifacts)
+        residual = artifacts.residual_fn
         # Bind only the relations the residual still reads (usually none:
         # the LR residual reads just ``__aggs``).
         env = {
             name: self.db.relation(name).to_value()
-            for name in artifacts.residual.free_vars()
+            for name in residual.free_vars
             if name in self.db
         }
         if aggs:
-            env["__aggs"] = RecordValue(aggs)
-        interp = Interpreter(env)
-        return interp.run_program(artifacts.residual)
+            env[AGGS_VAR] = RecordValue(aggs)
+        return residual.run(artifacts.residual, env)

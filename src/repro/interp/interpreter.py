@@ -59,6 +59,102 @@ class EvalError(Exception):
         super().__init__(message)
 
 
+#: how many ``while`` iterations a program may run before it is stopped
+MAX_LOOP_ITERATIONS = 1_000_000
+
+
+def loop_cap_error(limit: int) -> EvalError:
+    return EvalError(f"loop exceeded {limit} iterations (missing convergence?)")
+
+
+def unbound_variable(e: Var) -> EvalError:
+    return EvalError(f"unbound variable {e.name!r}", e)
+
+
+# -- leaf operations --------------------------------------------------------
+#
+# Shared with the generated residual functions (:mod:`repro.interp.codegen`),
+# so both executions agree on every value and every error.
+
+
+def lookup(d: Any, k: Any, e: Expr) -> Any:
+    """``d(k)``: a dictionary's payload (the ring zero if absent), or a
+    record's field — records behave as Field-keyed dictionaries in D-IFAQ."""
+    if isinstance(d, DictValue):
+        return d.get(k, 0)
+    if isinstance(d, RecordValue):
+        return d[k.name if isinstance(k, FieldValue) else k]
+    raise EvalError(f"lookup on non-dictionary {type(d).__name__}", e)
+
+
+def access_field(value: Any, name: str, e: Expr) -> Any:
+    if isinstance(value, RecordValue):
+        try:
+            return value[name]
+        except KeyError:
+            raise EvalError(f"record has no field {name!r}: {value!r}", e) from None
+    if isinstance(value, VariantValue):
+        if value.tag != name:
+            raise EvalError(f"variant <{value.tag}=...> has no field {name!r}", e)
+        return value.value
+    raise EvalError(f"field access on non-record {type(value).__name__}", e)
+
+
+def access_dyn_field(value: Any, key: Any, e: Expr) -> Any:
+    name = key.name if isinstance(key, FieldValue) else key
+    if not isinstance(name, str):
+        raise EvalError(f"dynamic field access with non-field key {key!r}", e)
+    return access_field(value, name, e)
+
+
+def iter_domain(domain_value: Any, e: Expr):
+    if isinstance(domain_value, SetValue):
+        return iter(domain_value)
+    if isinstance(domain_value, DictValue):
+        return iter(domain_value.keys())
+    raise EvalError(
+        f"iteration domain must be a set or dictionary, got {type(domain_value).__name__}",
+        e,
+    )
+
+
+def domain_of(d: Any, e: Expr) -> SetValue:
+    if isinstance(d, DictValue):
+        return SetValue(d.keys())
+    if isinstance(d, SetValue):
+        return d
+    raise EvalError(f"dom() of non-dictionary {type(d).__name__}", e)
+
+
+def dict_literal(entries) -> DictValue:
+    """``{{k1 → v1, ...}}`` with bag semantics: payloads of equal keys add,
+    and a zero payload means "absent", so ``{{k → 0}}`` is the ring zero."""
+    out: dict[Any, Any] = {}
+    for k, v in entries:
+        v = v_add(out[k], v) if k in out else v
+        if is_zero(v):
+            out.pop(k, None)
+        else:
+            out[k] = v
+    return DictValue(out)
+
+
+def apply_unary(op: str, v: Any, e: Expr) -> Any:
+    if op == "not":
+        return not truthy(v)
+    if op == "abs":
+        return abs(v)
+    if op == "sqrt":
+        return math.sqrt(v)
+    if op == "log":
+        return math.log(v)
+    if op == "exp":
+        return math.exp(v)
+    if op == "sign":
+        return (v > 0) - (v < 0)
+    raise EvalError(f"unknown unary operator {op!r}", e)
+
+
 @dataclass
 class EvalStats:
     """Counts of interpreter work, for optimization micro-benchmarks."""
@@ -76,7 +172,11 @@ class Interpreter:
     :meth:`repro.db.relation.Relation.to_value`).
     """
 
-    def __init__(self, env: Mapping[str, Any] | None = None, max_loop_iterations: int = 1_000_000):
+    def __init__(
+        self,
+        env: Mapping[str, Any] | None = None,
+        max_loop_iterations: int = MAX_LOOP_ITERATIONS,
+    ):
         self.globals: dict[str, Any] = dict(env or {})
         self.max_loop_iterations = max_loop_iterations
         self.stats = EvalStats()
@@ -103,10 +203,7 @@ class Interpreter:
                 break
             iterations += 1
             if iterations > self.max_loop_iterations:
-                raise EvalError(
-                    f"loop exceeded {self.max_loop_iterations} iterations "
-                    "(missing convergence?)"
-                )
+                raise loop_cap_error(self.max_loop_iterations)
             state = self._eval(p.body, env)
             self.stats.loop_iterations += 1
         return state
@@ -124,7 +221,7 @@ class Interpreter:
             try:
                 return env[e.name]
             except KeyError:
-                raise EvalError(f"unbound variable {e.name!r}", e) from None
+                raise unbound_variable(e) from None
 
         if isinstance(e, Add):
             self.stats.arithmetic_ops += 1
@@ -135,7 +232,7 @@ class Interpreter:
         if isinstance(e, Neg):
             return v_neg(self._eval(e.operand, env))
         if isinstance(e, UnaryOp):
-            return self._eval_unary(e, env)
+            return apply_unary(e.op, self._eval(e.operand, env), e)
         if isinstance(e, BinOp):
             return self._eval_binop(e, env)
         if isinstance(e, Cmp):
@@ -146,52 +243,24 @@ class Interpreter:
         if isinstance(e, DictBuild):
             return self._eval_dict_build(e, env)
         if isinstance(e, DictLit):
-            # Bag semantics: a zero payload means "absent", so {{k → 0}}
-            # is the empty dictionary (the ring zero).
-            out: dict[Any, Any] = {}
-            for k_expr, v_expr in e.entries:
-                k = self._eval(k_expr, env)
-                v = self._eval(v_expr, env)
-                v = v_add(out[k], v) if k in out else v
-                if is_zero(v):
-                    out.pop(k, None)
-                else:
-                    out[k] = v
-            return DictValue(out)
+            return dict_literal(
+                (self._eval(k, env), self._eval(v, env)) for k, v in e.entries
+            )
         if isinstance(e, SetLit):
             return SetValue(self._eval(x, env) for x in e.elems)
         if isinstance(e, Dom):
-            d = self._eval(e.operand, env)
-            if isinstance(d, DictValue):
-                return SetValue(d.keys())
-            if isinstance(d, SetValue):
-                return d
-            raise EvalError(f"dom() of non-dictionary {type(d).__name__}", e)
+            return domain_of(self._eval(e.operand, env), e)
         if isinstance(e, Lookup):
-            d = self._eval(e.dict_expr, env)
-            k = self._eval(e.key, env)
-            if isinstance(d, DictValue):
-                return d.get(k, 0)
-            if isinstance(d, RecordValue):
-                # Records behave as Field-keyed dictionaries in D-IFAQ.
-                key = k.name if isinstance(k, FieldValue) else k
-                return d[key]
-            raise EvalError(f"lookup on non-dictionary {type(d).__name__}", e)
+            return lookup(self._eval(e.dict_expr, env), self._eval(e.key, env), e)
 
         if isinstance(e, RecordLit):
             return RecordValue((n, self._eval(v, env)) for n, v in e.fields)
         if isinstance(e, VariantLit):
             return VariantValue(e.tag, self._eval(e.value, env))
         if isinstance(e, FieldAccess):
-            rec_value = self._eval(e.record, env)
-            return self._access_field(rec_value, e.name, e)
+            return access_field(self._eval(e.record, env), e.name, e)
         if isinstance(e, DynFieldAccess):
-            rec_value = self._eval(e.record, env)
-            key = self._eval(e.key, env)
-            name = key.name if isinstance(key, FieldValue) else key
-            if not isinstance(name, str):
-                raise EvalError(f"dynamic field access with non-field key {key!r}", e)
-            return self._access_field(rec_value, name, e)
+            return access_dyn_field(self._eval(e.record, env), self._eval(e.key, env), e)
 
         if isinstance(e, Let):
             value = self._eval(e.value, env)
@@ -211,34 +280,12 @@ class Interpreter:
 
         raise EvalError(f"unknown expression node {type(e).__name__}", e)
 
-    def _access_field(self, value: Any, name: str, e: Expr) -> Any:
-        if isinstance(value, RecordValue):
-            try:
-                return value[name]
-            except KeyError:
-                raise EvalError(f"record has no field {name!r}: {value!r}", e) from None
-        if isinstance(value, VariantValue):
-            if value.tag != name:
-                raise EvalError(f"variant <{value.tag}=...> has no field {name!r}", e)
-            return value.value
-        raise EvalError(f"field access on non-record {type(value).__name__}", e)
-
-    def _iter_domain(self, domain_value: Any, e: Expr):
-        if isinstance(domain_value, SetValue):
-            return iter(domain_value)
-        if isinstance(domain_value, DictValue):
-            return iter(domain_value.keys())
-        raise EvalError(
-            f"iteration domain must be a set or dictionary, got {type(domain_value).__name__}",
-            e,
-        )
-
     def _eval_sum(self, e: Sum, env: dict[str, Any]) -> Any:
         domain_value = self._eval(e.domain, env)
         acc: Any = 0
         saved = env.get(e.var, _MISSING)
         try:
-            for elem in self._iter_domain(domain_value, e):
+            for elem in iter_domain(domain_value, e):
                 env[e.var] = elem
                 acc = v_add(acc, self._eval(e.body, env))
                 self.stats.loop_iterations += 1
@@ -254,7 +301,7 @@ class Interpreter:
         out: dict[Any, Any] = {}
         saved = env.get(e.var, _MISSING)
         try:
-            for elem in self._iter_domain(domain_value, e):
+            for elem in iter_domain(domain_value, e):
                 env[e.var] = elem
                 out[elem] = self._eval(e.body, env)
                 self.stats.loop_iterations += 1
@@ -264,23 +311,6 @@ class Interpreter:
             else:
                 env[e.var] = saved
         return DictValue(out)
-
-    def _eval_unary(self, e: UnaryOp, env: dict[str, Any]) -> Any:
-        v = self._eval(e.operand, env)
-        op = e.op
-        if op == "not":
-            return not truthy(v)
-        if op == "abs":
-            return abs(v)
-        if op == "sqrt":
-            return math.sqrt(v)
-        if op == "log":
-            return math.log(v)
-        if op == "exp":
-            return math.exp(v)
-        if op == "sign":
-            return (v > 0) - (v < 0)
-        raise EvalError(f"unknown unary operator {op!r}", e)
 
     def _eval_binop(self, e: BinOp, env: dict[str, Any]) -> Any:
         op = e.op

@@ -10,9 +10,10 @@ from dataclasses import replace
 
 import pytest
 
+import repro.compiler
 from repro.backend.cache import KernelCache
 from repro.backend.layout import LAYOUT_ARRAYS
-from repro.compiler import COMPILE_CACHE_SIZE, IFAQCompiler
+from repro.compiler import AGGS_VAR, COMPILE_CACHE_SIZE, IFAQCompiler
 from repro.data import star_schema
 from repro.db.query import join_as_ifaq
 from repro.interp import Interpreter
@@ -22,6 +23,7 @@ from repro.ir.expr import Add, Const, Lookup, RecordLit
 from repro.ir.program import Program, straight_line
 from repro.ml.programs import linear_regression_bgd
 from repro.runtime.compare import values_close
+from repro.runtime.values import RecordValue
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +186,41 @@ class TestCompileCache:
                 assert cached.kernel.fingerprint == fresh.kernel.fingerprint
                 assert cached.kernel_source == fresh.kernel_source
         assert compiler.compile_stats.hits == len(SUBSETS) * (len(GRID) - 1)
+
+    def test_residual_is_generated_once_per_miss_and_reused_by_hits(self, setup, monkeypatch):
+        ds, _ = setup
+        programs = [(feats, _lr(ds, feats, *s)) for feats in SUBSETS for s in GRID]
+        want = []
+        for _, program in programs:
+            fresh = _fresh(ds, "numpy")
+            artifacts = fresh.compile(program)
+            env = {AGGS_VAR: RecordValue(fresh.compute_batch(artifacts))}
+            theta = _theta(fresh.run_artifacts(artifacts))
+            assert theta == _theta(Interpreter(env).run_program(artifacts.residual))
+            want.append(theta)
+
+        generated = []
+        real = repro.compiler.compile_residual
+
+        def counting(*args, **kwargs):
+            generated.append(real(*args, **kwargs))
+            return generated[-1]
+
+        def no_interpreter(*args, **kwargs):
+            raise AssertionError("the residual ran on the interpreter")
+
+        monkeypatch.setattr(repro.compiler, "compile_residual", counting)
+        monkeypatch.setattr(Interpreter, "__init__", no_interpreter)
+        compiler = _fresh(ds, "numpy")
+        functions = {}
+        for (feats, program), theta in zip(programs, want):
+            artifacts = compiler.compile(program)
+            fn = functions.setdefault(tuple(feats), artifacts.residual_fn)
+            assert artifacts.residual_fn is fn
+            assert _theta(compiler.run_artifacts(artifacts)) == theta
+        assert len(generated) == compiler.compile_stats.misses == len(SUBSETS)
+        assert compiler.compile_stats.hits == len(SUBSETS) * (len(GRID) - 1)
+        assert [f.parameters for f in generated] == [("alpha", "iterations")] * len(SUBSETS)
 
     def test_hit_resolves_kernel_through_kernel_cache(self, setup):
         ds, _ = setup
