@@ -57,12 +57,10 @@ from repro.db import Database, JoinQuery, Relation, RelationSchema
 from repro.serving import (
     AggregateRequest,
     AggregateService,
-    CircuitBreaker,
     DeadlineExceeded,
     GroupByRequest,
     MultiGroupByRequest,
     QueueFull,
-    RetryPolicy,
     ServiceStats,
 )
 
@@ -80,12 +78,12 @@ _LAZY_ML = {
 
 __all__ = [
     "AggregateBatch", "AggregateRequest", "AggregateService", "AggregateSpec",
-    "CircuitBreaker", "ColumnStore", "CompilationArtifacts", "CppKernelBackend",
+    "ColumnStore", "CompilationArtifacts", "CppKernelBackend",
     "Database", "DeadlineExceeded", "EngineBackend", "ExecutionBackend",
     "GroupByRequest", "IFAQCompiler", "JoinQuery", "Kernel", "KernelCache",
     "LayoutOptions", "MultiBatchPlan", "MultiGroupByRequest", "NumpyBackend",
     "PythonKernelBackend", "QueueFull", "Relation", "RelationSchema",
-    "RetryPolicy", "ServiceStats", "ShardedBackend", "__version__",
+    "ServiceStats", "ShardedBackend", "__version__",
     "available_backends", "build_join_tree", "column_store",
     "compute_groupby", "compute_groupby_many", "covar_batch",
     "default_kernel_cache", "get_backend", "register_backend",

@@ -53,7 +53,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -86,38 +86,6 @@ class KeyCoding:
     values: np.ndarray | None = None
 
 
-class _EvalCache(dict):
-    """The eval-cache dict, with a change hook for lazy size accounting.
-
-    Writers (the numpy backend's bottom-up pass) treat it as a plain
-    dict; every mutation marks the owning store's cached stats dirty so
-    :meth:`ColumnStore.stats` recomputes byte estimates only when
-    something actually changed.
-    """
-
-    __slots__ = ("_on_change",)
-
-    def __init__(self, on_change):
-        super().__init__()
-        self._on_change = on_change
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self._on_change()
-
-    def __delitem__(self, key):
-        super().__delitem__(key)
-        self._on_change()
-
-    def pop(self, *args):
-        self._on_change()
-        return super().pop(*args)
-
-    def clear(self):
-        self._on_change()
-        super().clear()
-
-
 class ColumnStore:
     """Shared per-relation ndarray columns and key codings for one database.
 
@@ -138,12 +106,10 @@ class ColumnStore:
         #: layouts snapshot it at construction and rebuild on mismatch,
         #: so per-plan views never serve pre-ingest array snapshots
         self.data_version: int = 0
-        #: lazily recomputed stats() payload (dirty-flag invalidation)
-        self._stats_cache: dict[str, int] | None = None
         #: predicate-free subtree evaluation results, keyed by the
         #: numpy backend's structural scan keys — rerooted plans share
         #: most subtrees verbatim, so their bottom-up passes meet here
-        self.eval_cache: dict = _EvalCache(self._mark_stats_dirty)
+        self.eval_cache: dict = {}
         self._records: dict[str, list] = {}
         self._mult: dict[str, np.ndarray] = {}
         self._float_cols: dict[tuple[str, str], np.ndarray] = {}
@@ -151,9 +117,6 @@ class ColumnStore:
         self._key_codings: dict[tuple[str, tuple[str, ...]], KeyCoding] = {}
         self._parent_codes: dict[tuple[str, str, tuple[str, ...]], np.ndarray] = {}
         self._column_codings: dict[tuple[str, str], tuple[list, np.ndarray]] = {}
-
-    def _mark_stats_dirty(self) -> None:
-        self._stats_cache = None
 
     @property
     def db(self) -> Database:
@@ -172,7 +135,6 @@ class ColumnStore:
             if recs is None:
                 recs = list(self.db.relation(relation).data)
                 self._records[relation] = recs
-                self._stats_cache = None
             return recs
 
     def n_rows(self, relation: str) -> int:
@@ -186,7 +148,6 @@ class ColumnStore:
                     list(self.db.relation(relation).data.values()), dtype=np.float64
                 )
                 self._mult[relation] = arr
-                self._stats_cache = None
             return arr
 
     def float_col(self, relation: str, attr: str) -> np.ndarray:
@@ -197,7 +158,6 @@ class ColumnStore:
                     [rec[attr] for rec in self.records(relation)], dtype=np.float64
                 )
                 self._float_cols[(relation, attr)] = col
-                self._stats_cache = None
             return col
 
     def raw_col(self, relation: str, attr: str) -> np.ndarray:
@@ -207,7 +167,6 @@ class ColumnStore:
             if col is None:
                 col = np.array([rec[attr] for rec in self.records(relation)])
                 self._raw_cols[(relation, attr)] = col
-                self._stats_cache = None
             return col
 
     # -- join-key codings --------------------------------------------------
@@ -253,7 +212,6 @@ class ColumnStore:
             if coding is None:
                 coding = self._loop_key_coding(relation, key_attrs)
             self._key_codings[(relation, key_attrs)] = coding
-            self._stats_cache = None
             return coding
 
     def _vectorized_key_coding(
@@ -342,7 +300,6 @@ class ColumnStore:
                 for i, rec in enumerate(records):
                     codes[i] = table.get(tuple(rec[a] for a in key_attrs), -1)
             self._parent_codes[(parent, child, key_attrs)] = codes
-            self._stats_cache = None
             return codes
 
     # -- value codings (group-by key tables) ------------------------------
@@ -372,7 +329,6 @@ class ColumnStore:
                     codes[i] = table.setdefault(rec[attr], len(table))
                 coding = (list(table), codes)
             self._column_codings[(relation, attr)] = coding
-            self._stats_cache = None
             return coding
 
     # -- streaming ingest: delta extension & invalidation ------------------
@@ -525,7 +481,6 @@ class ColumnStore:
 
             invalidated += self._drop_eval_entries(relation)
             self.data_version += 1
-            self._stats_cache = None
             _STATS.delta_extends += 1
             _STATS.memo_invalidations += invalidated
             return invalidated
@@ -558,7 +513,6 @@ class ColumnStore:
                 invalidated += 1
             invalidated += self._drop_eval_entries(relation)
             self.data_version += 1
-            self._stats_cache = None
             _STATS.memo_invalidations += invalidated
             return invalidated
 
@@ -571,16 +525,14 @@ class ColumnStore:
         column, multiplicity vector, key/parent/value coding and cached
         eval-array; ``record_rows`` counts the Python record-list rows
         (shared with the database, so they are reported but not priced
-        into the byte estimate).  This is the measurement half of the
-        ROADMAP eviction-policy item: long-lived serving processes can
-        watch ``approx_bytes`` per database and evict stores (see
-        :func:`evict_column_store`) before memos grow unbounded.
+        into the byte estimate).  Long-lived serving processes can
+        watch ``approx_bytes`` per database (it is reported in
+        :meth:`~repro.serving.service.AggregateService.stats_dict`) and
+        evict stores with :func:`evict_column_store`.
 
-        The walk is recomputed **lazily**: every memo build, delta
-        extension and invalidation marks a dirty flag, and a clean call
-        returns the cached payload — so byte-budget trimmers polling
-        after every run see true sizes (arrays replaced or extended in
-        place are re-measured) without paying a full walk per poll.
+        Every call walks the memo tables afresh, so arrays replaced or
+        extended in place are always re-measured; callers are reports,
+        not hot loops.
         """
 
         def _nbytes(obj) -> int:
@@ -593,8 +545,6 @@ class ColumnStore:
             return 0
 
         with self._lock:
-            if self._stats_cache is not None:
-                return dict(self._stats_cache)
             ndarray_bytes = 0
             for arr in self._mult.values():
                 ndarray_bytes += arr.nbytes
@@ -608,7 +558,7 @@ class ColumnStore:
             for _keys, codes in self._column_codings.values():
                 ndarray_bytes += codes.nbytes
             eval_bytes = _nbytes(self.eval_cache)
-            self._stats_cache = {
+            return {
                 "relations": len(self._records),
                 "record_rows": sum(len(r) for r in self._records.values()),
                 "key_codings": len(self._key_codings),
@@ -619,7 +569,6 @@ class ColumnStore:
                 "eval_bytes": int(eval_bytes),
                 "approx_bytes": int(ndarray_bytes + eval_bytes),
             }
-            return dict(self._stats_cache)
 
     # -- predicate masks ---------------------------------------------------
 

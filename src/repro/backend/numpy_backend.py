@@ -738,9 +738,9 @@ class NumpyBackend(ExecutionBackend):
         if entry is not None:
             db_ref, layout = entry
             # The store-identity check keeps eviction honest: after
-            # evict_column_store(db) (the serving layer's byte-budget
-            # trim) a cached view still pins the dead store's arrays, so
-            # rebuild against the database's *current* store instead.
+            # evict_column_store(db) (say, the serving layer's
+            # evict_database) a cached view still pins the dead store's
+            # arrays, so rebuild against the database's *current* store.
             # The version check keeps ingest honest: delta extension
             # replaces the store's code arrays, so a snapshot taken
             # before the extension wires stale arrays.

@@ -307,14 +307,14 @@ class ProcessKernelExecutor:
         handle.backends = set()
 
     def kill_worker(self, index: int = 0) -> None:
-        """Kill one worker process outright (SIGKILL) — the fault-
-        injection surface :class:`~repro.serving.faults.KillWorker`
-        uses.
+        """Kill one worker process outright (SIGKILL), for tests of
+        crash recovery.
 
         The dead worker is *not* respawned here: the next task routed
         to its handle observes the broken pipe, raises the organic
         :class:`WorkerError`, and respawns it — exactly the crash
-        sequence retry logic must absorb.
+        sequence :class:`~repro.backend.parallel.ShardedBackend`'s shard
+        resubmission absorbs.
         """
         if not self._handles:
             return

@@ -20,7 +20,7 @@ two requests only coalesce when their predicates are provably equal
 Requests may also carry a ``deadline`` — a *relative* budget in
 seconds, measured from submission.  It is serving-time state only
 (never part of the kernel or coalescing identity): the service cancels
-the waiter with :class:`~repro.serving.policies.DeadlineExceeded` when
+the waiter with :class:`~repro.serving.service.DeadlineExceeded` when
 the budget expires while the request is queued or in flight.  An
 explicit ``deadline=`` argument to ``submit`` overrides it; the
 service's ``default_deadline`` applies when both are ``None``.

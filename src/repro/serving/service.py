@@ -40,12 +40,6 @@ state, maintained run, plain run), with the request's δ predicates
 pushed into the backend's scans — plain batches exactly like
 group-bys, so no filtered copy of a database is ever built.
 
-Long-lived services can additionally cap columnar memory with
-``store_budget_bytes``: after each
-run, if the summed ``approx_bytes`` of every registration's column
-store exceeds the budget, the stores of the least-recently-used
-databases are trimmed and rebuilt lazily on next touch.
-
 Registered databases also take **streaming ingest**
 (:meth:`AggregateService.ingest`): appended rows extend the shared
 column store in place and every cached per-fingerprint result — a
@@ -57,23 +51,17 @@ A per-database writer barrier keeps readers off the store while it
 mutates, and coalescing keys carry the database's relation-version
 vector so requests straddling an ingest never share a run.
 
-**Fault tolerance** (see :mod:`repro.serving.policies`): every request
-can carry a relative **deadline**, enforced while queued and in flight
-(:class:`DeadlineExceeded`); queued units abandoned by all their
-waiters are cancelled before dispatch so they never occupy a pool
-slot.  Per-database **bounded admission** caps the pending-run queue
-(``QueueFull`` backpressure, or parked waits under the ``"wait"``
-policy).  Transient failures — a process-mode sharded backend whose
-worker stayed dead through its shard retries, a
-:class:`TransientError` — are **retried with exponential backoff and
-seeded jitter**; kernels are pure, so a retried run is bit-identical
-to the clean one.  Repeated failures trip a **circuit breaker** and
-runs degrade from the thread pool to inline execution on the event
-loop, recovering through half-open probes; every timeout, rejection,
-retry, degraded run and breaker transition is visible in
-:class:`ServiceStats`.  The
-deterministic fault-injection harness driving the tests lives in
-:mod:`repro.serving.faults`.
+**Overload**: every request can carry a relative **deadline**,
+enforced while queued and in flight (:class:`DeadlineExceeded`);
+queued units abandoned by all their waiters are cancelled before
+dispatch so they never occupy a pool slot.  Per-database **bounded
+admission** caps the pending-run queue (:class:`QueueFull`
+backpressure, or parked waits under the ``"wait"`` policy).  A run
+that raises is final: its exception reaches every waiter of that run,
+and the next request runs afresh.  Recovery from a dead worker process
+lives below the service, in a process-mode sharded backend's shard
+resubmission.  Every timeout, rejection and error is visible in
+:class:`ServiceStats`.
 """
 
 from __future__ import annotations
@@ -94,7 +82,6 @@ from repro.backend.cache import KernelCache, default_kernel_cache
 from repro.backend.column_store import evict_column_store, peek_column_store
 from repro.backend.layout import LAYOUT_SORTED, LayoutOptions
 from repro.backend.plan import BatchPlan, MultiBatchPlan, build_batch_plan
-from repro.backend.process_pool import WorkerError
 from repro.backend.registry import get_backend
 from repro.db.database import Database
 from repro.serving.requests import (
@@ -103,13 +90,6 @@ from repro.serving.requests import (
     MultiGroupByRequest,
     Request,
     predicate_key,
-)
-from repro.serving.policies import (
-    CircuitBreaker,
-    DeadlineExceeded,
-    QueueFull,
-    RetryPolicy,
-    TransientError,
 )
 from repro.serving.stats import ServiceStats
 
@@ -126,6 +106,21 @@ MAX_VIEWS_PER_DB = 64
 
 class DatabaseNotRegistered(KeyError):
     """The request names a database the service does not know."""
+
+
+class DeadlineExceeded(TimeoutError):
+    """The request's deadline expired before a result was produced.
+
+    Raised to the waiter only: a run already in flight keeps executing
+    (threads cannot be interrupted) and its result feeds any remaining
+    waiters, but a run *all* of whose waiters have gone is cancelled
+    before dispatch.
+    """
+
+
+class QueueFull(RuntimeError):
+    """Admission control rejected the request: the target database's
+    pending-run queue is at its cap (``queue_policy="reject"``)."""
 
 
 class _WriteBarrier:
@@ -210,8 +205,6 @@ class _Registration:
     generation: int = 0
     #: (batch, group_attr) → BatchPlan;  (batch, group_attrs) → MultiBatchPlan
     plans: dict = field(default_factory=dict)
-    #: loop time of the last dispatched run (the store-trim LRU order)
-    last_used: float = 0.0
     #: (fingerprint, pred_key) → maintained materialized view
     views: dict[tuple, _View] = field(default_factory=dict)
     #: readers-writer gate serializing ingests against kernel runs
@@ -224,19 +217,6 @@ class _Registration:
     #: submissions parked by the "wait" admission policy, woken FIFO
     #: one per freed slot
     queue_waiters: deque = field(default_factory=deque)
-
-    def drop_view_states(self) -> None:
-        """Forget delta states (kept results stay servable).
-
-        Called when this database's column store is evicted: group
-        delta states are coded against the store's (possibly extended)
-        group coding, which a rebuilt store does not reproduce once
-        unseen group values have been appended.  The next ingest falls
-        back to one full recompute per view and re-establishes state.
-        """
-        for key, view in list(self.views.items()):
-            if view.state is not None:
-                self.views[key] = replace(view, state=None)
 
 
 @dataclass
@@ -294,10 +274,6 @@ class AggregateService:
         Concurrent kernel executions (the bounded thread pool).
     executor:
         Must be ``"thread"``, the only execution mode.
-    store_budget_bytes:
-        Optional cap on the summed ``approx_bytes`` of every
-        registration's column stores; exceeded budgets trim stores LRU
-        after each run (``None``: unlimited).
     coalesce / fuse:
         Feature switches; turning both off forces one kernel run per
         request.  At most :data:`MAX_FUSE` group-by requests are
@@ -312,21 +288,10 @@ class AggregateService:
         submissions raise :class:`QueueFull` under ``"reject"`` (the
         default) or park until a slot frees under ``"wait"`` — still
         subject to the deadline.
-    retry_policy:
-        Backoff schedule for transient failures
-        (:class:`~repro.backend.process_pool.WorkerError` from a
-        process-mode sharded backend, :class:`TransientError`);
-        ``None`` means ``RetryPolicy()``.
-        Kernels are pure, so retried runs are bit-identical to clean
-        ones.
-    breaker:
-        Circuit breaker guarding the thread pool (``None``: a default
-        :class:`CircuitBreaker`).  While it is open, runs execute
-        inline on the event loop — the last-resort mode that still
-        answers requests.
 
     Every waiter gets a private copy of its result, so one client
-    mutating its response cannot corrupt another's.
+    mutating its response cannot corrupt another's.  A run that raises
+    fails every waiter coalesced or fused onto it; nothing reruns it.
     """
 
     def __init__(
@@ -337,14 +302,11 @@ class AggregateService:
         layout: LayoutOptions = LAYOUT_SORTED,
         max_workers: int = DEFAULT_SERVICE_WORKERS,
         executor: str = "thread",
-        store_budget_bytes: int | None = None,
         coalesce: bool = True,
         fuse: bool = True,
         default_deadline: float | None = None,
         max_queue_depth: int | None = None,
         queue_policy: str = "reject",
-        retry_policy: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
     ) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
@@ -372,15 +334,6 @@ class AggregateService:
                 f"queue_policy must be 'reject' or 'wait', got {queue_policy!r}"
             )
         self.queue_policy = queue_policy
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self._retry_rng = self.retry_policy.rng()
-        #: exception types safe to retry: the run never started or died
-        #: mid-flight, and kernels are pure
-        self._transient: tuple[type, ...] = (WorkerError, TransientError)
-        self._breaker = breaker if breaker is not None else CircuitBreaker()
-        if self._breaker.on_transition is None:
-            self._breaker.on_transition = self.stats.note_breaker_transition
-        self.store_budget_bytes = store_budget_bytes
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="ifaq-serve"
         )
@@ -515,7 +468,6 @@ class AggregateService:
                 # under the write barrier, so the cached result is the
                 # current answer — no kernel run at all.
                 self.stats.view_hits += 1
-                reg.last_used = loop.time()
                 return _copy_result(plan, view.result)
             existing = self._inflight.get(key)
             if existing is not None:
@@ -819,20 +771,27 @@ class AggregateService:
             now = loop.time()
             for entry in batch:
                 self.stats.record_queue_latency(now - entry.enqueued)
-            batch[0].registration.last_used = now
-            barrier = batch[0].registration.barrier
+            reg, predicates = batch[0].registration, batch[0].predicates
+            barrier = reg.barrier
             await barrier.reader_enter()
             try:
+                # One run on the thread pool: an exception is final and
+                # fans out to every waiter of the batch below.
+                plan = (
+                    batch[0].plan if len(batch) == 1
+                    else MultiBatchPlan([entry.plan for entry in batch])
+                )
+                result, state = await loop.run_in_executor(
+                    self._executor, self._run, plan, reg.db, predicates
+                )
                 if len(batch) == 1:
                     entry = batch[0]
-                    result, state = await self._execute(loop, entry.plan, entry)
                     if isinstance(entry.plan, MultiBatchPlan):
                         result = dict(zip(entry.plan.group_attr, result))
                     results = [result]
                     self.stats.fingerprint(entry.fingerprint).runs += 1
                 else:
-                    mplan = MultiBatchPlan([entry.plan for entry in batch])
-                    results, state = await self._execute(loop, mplan, batch[0])
+                    results = result
                     self.stats.fused_runs += 1
                     self.stats.fused_requests += len(batch)
                     # Fused work is attributed to the member request
@@ -871,7 +830,6 @@ class AggregateService:
                 barrier.reader_exit()
                 for entry in batch:
                     self._inflight.pop(entry.key, None)
-                self._maybe_trim_stores()
 
     def _take_batch(self) -> list[_Inflight]:
         """Pop the oldest live pending entry plus every fusable peer.
@@ -927,53 +885,6 @@ class AggregateService:
             entry.future.cancel()
         self.stats.cancelled_queued += 1
 
-    # -- resilient execution -----------------------------------------------
-
-    async def _execute(self, loop, plan: BatchPlan | MultiBatchPlan, entry: _Inflight):
-        """Run ``plan`` over ``entry``'s database under its δ predicates
-        with retry/backoff and the breaker: ``(result, maintained state
-        | None)``.
-
-        A run goes to the thread pool while the breaker admits it, and
-        inline on the event loop while it is open (the last resort that
-        always answers).  An ``open`` breaker whose reset period elapsed
-        half-opens here and lets the run through as its recovery probe.
-        Only *transient* failures (``WorkerError``, ``TransientError``)
-        are retried or recorded by the breaker; planning errors and bad
-        batches propagate immediately on attempt one.  Kernels are pure
-        functions of plan, layout and data, so a retried or degraded run
-        is bit-identical to a clean one.
-        """
-        db = entry.registration.db
-        policy = self.retry_policy
-        attempt = 0
-        while True:
-            threaded = self._breaker.allow()
-            try:
-                if threaded:
-                    result = await loop.run_in_executor(
-                        self._executor, self._run, plan, db, entry.predicates
-                    )
-                else:
-                    result = self._run(plan, db, entry.predicates)
-            except self._transient:
-                if threaded:
-                    self._breaker.record_failure()
-                attempt += 1
-                if attempt >= policy.max_attempts:
-                    self.stats.retry_exhausted += 1
-                    raise
-                self.stats.retries += 1
-                delay = policy.delay(attempt, self._retry_rng)
-                if delay:
-                    await asyncio.sleep(delay)
-                continue
-            if threaded:
-                self._breaker.record_success()
-            else:
-                self.stats.degraded_runs += 1
-            return result
-
     # -- blocking execution (worker threads, ingest) ------------------------
 
     def _run(self, plan: BatchPlan | MultiBatchPlan, db: Database, predicates, prev=None):
@@ -995,39 +906,6 @@ class AggregateService:
             return self.backend.run_delta(kernel, db, prev, predicates)
         return self.backend.run_maintained(kernel, db, predicates)
 
-    # -- column-store budget -------------------------------------------------
-
-    def _maybe_trim_stores(self) -> None:
-        """Trim column stores LRU when over ``store_budget_bytes``.
-
-        Whole stores go, coldest registration first, never the most
-        recently used one.  Trimmed stores rebuild lazily on the next
-        request touching them — the backend's prepared-layout cache
-        revalidates store identity, so a trimmed store is never served
-        stale.
-        """
-        budget = self.store_budget_bytes
-        if not budget or not self._dbs:
-            return
-
-        def _bytes(db: Database) -> int:
-            store = peek_column_store(db)
-            return store.stats()["approx_bytes"] if store is not None else 0
-
-        regs = sorted(self._dbs.values(), key=lambda r: r.last_used)
-        total = sum(_bytes(reg.db) for reg in regs)
-        for reg in regs[:-1]:  # never the hottest
-            if total <= budget:
-                return
-            freed = _bytes(reg.db)
-            if evict_column_store(reg.db) and freed:
-                total -= freed
-                self.stats.store_trims += 1
-                # Group delta states are coded against the evicted
-                # store's (possibly extended) group coding; a rebuilt
-                # store won't reproduce it once new group values exist.
-                reg.drop_view_states()
-
     # -- reporting / lifecycle ----------------------------------------------
 
     def stats_dict(self) -> dict:
@@ -1046,13 +924,10 @@ class AggregateService:
             "service": self.stats.as_dict(),
             "kernel_cache": self.kernel_cache.stats.as_dict(),
             "databases": databases,
-            "store_budget_bytes": self.store_budget_bytes,
             "reliability": {
                 "default_deadline": self.default_deadline,
                 "max_queue_depth": self.max_queue_depth,
                 "queue_policy": self.queue_policy,
-                "retry": self.retry_policy.as_dict(),
-                "breaker": self._breaker.as_dict(),
             },
         }
 

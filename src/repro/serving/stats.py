@@ -1,11 +1,12 @@
-"""Serving-layer counters: coalescing, fusion, queue latency, memory.
+"""Serving-layer counters: coalescing, fusion, queue latency, ingest.
 
 :class:`ServiceStats` is owned by one :class:`~repro.serving.service.
 AggregateService` and mutated only from its event loop, so the counters
-need no locking.  ``as_dict`` flattens everything — including the
-kernel cache's hit/miss counters and each registered database's
-column-store byte estimate — into one JSON-friendly report, which is
-what the serving benchmark emits.
+need no locking.  ``as_dict`` flattens the counters into one
+JSON-friendly dict; :meth:`~repro.serving.service.AggregateService.
+stats_dict` adds the kernel cache's counters and each registered
+database's column-store byte estimate, which is the report the
+serving benchmark reads.
 """
 
 from __future__ import annotations
@@ -40,9 +41,12 @@ class ServiceStats:
 
     #: requests submitted
     requests: int = 0
-    #: requests answered successfully
+    #: dispatched units whose run succeeded.  A unit is one queued
+    #: entry: its creator's request plus every waiter coalesced onto
+    #: it, so coalesced waiters and view hits are counted in neither
+    #: ``completed`` nor ``errors``; a fused run adds one per member
     completed: int = 0
-    #: requests answered with an exception
+    #: dispatched units whose run raised (same unit as ``completed``)
     errors: int = 0
     #: requests that piggybacked on an in-flight execution of the same
     #: (database, fingerprint, predicates) key instead of running
@@ -54,8 +58,6 @@ class ServiceStats:
     runs: int = 0
     #: runs that executed a fused MultiBatchPlan bundle
     fused_runs: int = 0
-    #: column stores evicted by the byte-budget LRU trim policy
-    store_trims: int = 0
     #: waiters cancelled with DeadlineExceeded (queued or in flight)
     deadline_timeouts: int = 0
     #: submissions rejected with QueueFull by bounded admission
@@ -65,17 +67,6 @@ class ServiceStats:
     cancelled_queued: int = 0
     #: runs that completed after their last waiter had already timed out
     abandoned_runs: int = 0
-    #: transient executor failures retried (each backoff sleep counts once)
-    retries: int = 0
-    #: runs whose retry budget was exhausted (the failure propagated)
-    retry_exhausted: int = 0
-    #: runs executed inline on the event loop because the circuit
-    #: breaker guarding the thread pool was open
-    degraded_runs: int = 0
-    #: current state of the circuit breaker
-    breaker_state: str = "closed"
-    #: every breaker transition, as (breaker name, from state, to state)
-    breaker_transitions: list = field(default_factory=list)
     #: requests answered straight from a maintained materialized view
     view_hits: int = 0
     #: ingest batches applied via AggregateService.ingest
@@ -93,10 +84,11 @@ class ServiceStats:
     delta_seconds_total: float = 0.0
     #: wall-clock seconds spent in ingest-time full recomputes
     full_seconds_total: float = 0.0
-    #: seconds requests spent queued before their execution started
+    #: seconds dispatched units spent queued before their run started
+    #: (``queue_seconds_mean`` divides by ``completed + errors``)
     queue_seconds_total: float = 0.0
     queue_seconds_max: float = 0.0
-    #: dispatch-side kernel-cache hits observed by the service
+    #: request, coalescing, fusion and run counts per plan fingerprint
     per_fingerprint: dict[str, FingerprintStats] = field(default_factory=dict)
 
     def fingerprint(self, fp: str) -> FingerprintStats:
@@ -134,12 +126,6 @@ class ServiceStats:
         self.queue_seconds_total += seconds
         self.queue_seconds_max = max(self.queue_seconds_max, seconds)
 
-    def note_breaker_transition(self, name: str, previous: str, state: str) -> None:
-        """Mirror one circuit-breaker transition into the counters
-        (wired as the breaker's ``on_transition`` callback)."""
-        self.breaker_transitions.append((name, previous, state))
-        self.breaker_state = state
-
     def as_dict(self) -> dict:
         dispatched = self.completed + self.errors
         return {
@@ -150,16 +136,10 @@ class ServiceStats:
             "fused_requests": self.fused_requests,
             "runs": self.runs,
             "fused_runs": self.fused_runs,
-            "store_trims": self.store_trims,
             "deadline_timeouts": self.deadline_timeouts,
             "queue_rejections": self.queue_rejections,
             "cancelled_queued": self.cancelled_queued,
             "abandoned_runs": self.abandoned_runs,
-            "retries": self.retries,
-            "retry_exhausted": self.retry_exhausted,
-            "degraded_runs": self.degraded_runs,
-            "breaker_state": self.breaker_state,
-            "breaker_transitions": [list(t) for t in self.breaker_transitions],
             "view_hits": self.view_hits,
             "ingests": self.ingests,
             "ingest_rows": self.ingest_rows,

@@ -22,8 +22,9 @@ from repro.ir.builders import V, dom, sum_over
 from repro.ir.expr import Add, Const, Lookup, RecordLit
 from repro.ir.program import Program, straight_line
 from repro.ml.programs import linear_regression_bgd
-from repro.runtime.compare import values_close
 from repro.runtime.values import RecordValue
+
+from compare import values_close
 
 
 @pytest.fixture(scope="module")

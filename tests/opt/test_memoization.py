@@ -6,8 +6,9 @@ from repro.ir.expr import DictBuild, Let, Lookup, Neg, Sum
 from repro.ir.traversal import subexpressions
 from repro.opt.cardinality import CardinalityEstimator
 from repro.opt.memoization import apply_static_memoization
-from repro.runtime.compare import values_close
 from repro.runtime.values import DictValue, FieldValue, RecordValue
+
+from compare import values_close
 
 
 def make_estimator(**let_sizes):

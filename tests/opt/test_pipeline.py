@@ -7,7 +7,8 @@ from repro.ir.program import Program
 from repro.ir.traversal import subexpressions
 from repro.ml.programs import linear_regression_bgd
 from repro.opt import HighLevelOptimizer, high_level_optimize
-from repro.runtime.compare import values_close
+
+from compare import values_close
 
 
 def lr_program(db, query, iterations=4):

@@ -43,8 +43,9 @@ from repro.ir.expr import (
 from repro.ir.program import Program, straight_line
 from repro.ir.types import FIELD, INT, REAL, DictType, RecordType, SetType
 from repro.opt.pipeline import HighLevelOptimizer
-from repro.runtime.compare import values_close
 from repro.runtime.values import DictValue, FieldValue, RecordValue
+
+from compare import values_close
 
 FIELD_NAMES = ("u", "v")
 

@@ -10,9 +10,10 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.compare import values_close
 from repro.runtime.rings import is_zero, v_add, v_mul, v_neg
 from repro.runtime.values import DictValue, RecordValue
+
+from compare import values_close
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False

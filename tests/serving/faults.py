@@ -1,12 +1,11 @@
-"""Deterministic fault injection for the serving and executor stack.
+"""Deterministic fault injection for the serving and executor tests.
 
-Testing fault tolerance with real crashes and wall-clock races makes
+Testing failure handling with real crashes and wall-clock races makes
 suites flaky; this module injects faults **on a counted schedule**
 instead.  A :class:`FaultSchedule` maps operation names to actions that
 fire at specific invocation indices — the 0th ``run_groupby``, every
-3rd ``run_blocks`` — so a test states exactly which run fails, which
-worker dies, and which spilled source is corrupted, and the same seed
-reproduces the same fault sequence every time.
+``run_blocks`` — so a test states exactly which run fails or which
+worker dies, and reruns reproduce the same fault sequence.
 
 Two wrappers apply schedules to the real stack:
 
@@ -14,10 +13,9 @@ Two wrappers apply schedules to the real stack:
   :class:`~repro.backend.base.ExecutionBackend` and consults the
   schedule before each kernel-run entry point (``execute``,
   ``run_groupby``, the maintained/delta variants, …).  Actions can
-  raise (:class:`Fail`), stall for a fixed time (:class:`Delay`), or
-  block on an event the test controls (:class:`Hold`) — the
-  deterministic way to pin "deadline expires while the run is in
-  flight".
+  raise (:class:`Fail`) or block on an event the test controls
+  (:class:`Hold`) — the deterministic way to pin "deadline expires
+  while the run is in flight".
 * :class:`FaultyExecutor` wraps a
   :class:`~repro.backend.process_pool.ProcessKernelExecutor` and
   injects faults into ``run_blocks``, the sharded backend's dispatch:
@@ -27,28 +25,21 @@ Two wrappers apply schedules to the real stack:
   respawns), :class:`Fail` resolves the returned future with an
   injected exception without touching the pool.
 
-:func:`corrupt_spilled_sources` rounds the harness out by overwriting
-spilled kernel sources under ``IFAQ_KERNEL_CACHE_DIR`` with garbage,
-exercising the warm-start regeneration path.
-
 Every fired fault is appended to ``schedule.log`` as ``(op, index,
 action)`` so tests assert on exactly what was injected.
 """
 
 from __future__ import annotations
 
-import random
 import threading
-import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.backend.base import ExecutionBackend, Kernel
 from repro.backend.layout import LayoutOptions
 from repro.backend.plan import BatchPlan
 from repro.db.database import Database
-from repro.serving.policies import TransientError
 
 
 # -- actions ----------------------------------------------------------------
@@ -59,11 +50,10 @@ class Fail:
     """Raise (or resolve a future with) an injected exception.
 
     ``exc`` is an exception *factory* (class or zero-arg callable) so
-    every firing produces a fresh instance; defaults to
-    :class:`~repro.serving.policies.TransientError`.
+    every firing produces a fresh instance.
     """
 
-    exc: Callable[[], BaseException] = TransientError
+    exc: Callable[[], BaseException]
     message: str = "injected fault"
 
     def make(self) -> BaseException:
@@ -71,13 +61,6 @@ class Fail:
             return self.exc(self.message)
         except TypeError:
             return self.exc()
-
-
-@dataclass(frozen=True)
-class Delay:
-    """Stall the operation for a fixed number of seconds, then proceed."""
-
-    seconds: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -106,43 +89,7 @@ class KillWorker:
     index: int = 0
 
 
-@dataclass(frozen=True)
-class CorruptSpill:
-    """Overwrite every spilled kernel source with garbage bytes."""
-
-
-Action = Any  # Fail | Delay | Hold | KillWorker | CorruptSpill
-
-
-class Sometimes:
-    """A seeded Bernoulli index predicate for probabilistic schedules.
-
-    Deterministic: the decision for invocation ``i`` is the ``i``-th
-    draw of ``random.Random(seed)``, so a given seed always faults the
-    same invocations regardless of timing.
-    """
-
-    def __init__(self, rate: float, seed: int = 0) -> None:
-        self.rate = rate
-        self._draws: list[bool] = []
-        self._rng = random.Random(seed)
-
-    def __call__(self, index: int) -> bool:
-        while len(self._draws) <= index:
-            self._draws.append(self._rng.random() < self.rate)
-        return self._draws[index]
-
-
-class Every:
-    """Fire on every ``n``-th invocation (offset by ``start``)."""
-
-    def __init__(self, n: int, start: int = 0) -> None:
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        self.n, self.start = n, start
-
-    def __call__(self, index: int) -> bool:
-        return index >= self.start and (index - self.start) % self.n == 0
+Action = Any  # Fail | Hold | KillWorker
 
 
 class FaultSchedule:
@@ -150,10 +97,10 @@ class FaultSchedule:
 
     ``on(op, action, at=...)`` arms ``action`` for operation ``op`` at
     invocation indices ``at`` — an int, an iterable of ints, or a
-    predicate ``index -> bool`` (see :class:`Sometimes` /
-    :class:`Every`).  ``fire(op)`` advances the op's counter and
-    returns the actions armed for the current index.  Counters are
-    guarded by a lock because backend ops fire from worker threads.
+    predicate ``index -> bool``.  ``fire(op)`` advances the op's
+    counter and returns the actions armed for the current index.
+    Counters are guarded by a lock because backend ops fire from worker
+    threads.
     """
 
     def __init__(self) -> None:
@@ -192,36 +139,12 @@ class FaultSchedule:
         return fired
 
 
-def corrupt_spilled_sources() -> int:
-    """Overwrite every spilled kernel source with garbage; returns the
-    count corrupted.
-
-    The spill loader validates sources by fingerprint-keyed filename
-    only, so a corrupted file is detected at ``exec`` time and the
-    backend regenerates from the plan — the recovery path
-    ``tests/backend/test_source_spill.py`` pins.
-    """
-    from repro.backend.cache import kernel_source_dir
-
-    corrupted = 0
-    directory = kernel_source_dir()
-    if directory.is_dir():
-        for path in directory.glob("kernel_*.py"):
-            path.write_text("this is not python } {\n")
-            corrupted += 1
-    return corrupted
-
-
 def _perform_blocking(actions: list[Action]) -> None:
     """Apply backend-side actions (runs on a worker thread, never the
-    event loop): delays sleep, holds block, failures raise."""
+    event loop): holds block, failures raise."""
     for action in actions:
-        if isinstance(action, Delay):
-            time.sleep(action.seconds)
-        elif isinstance(action, Hold):
+        if isinstance(action, Hold):
             action.wait()
-        elif isinstance(action, CorruptSpill):
-            corrupt_spilled_sources()
         elif isinstance(action, Fail):
             raise action.make()
         else:
@@ -319,14 +242,13 @@ class FaultyExecutor:
       first, then dispatches normally: the task lands on the dead
       worker, the round-trip raises the organic
       :class:`~repro.backend.process_pool.WorkerError`, and the pool
-      respawns the worker — exactly the failure retries must absorb.
+      respawns the worker — the failure the sharded backend's shard
+      resubmission absorbs.
     * :class:`Fail` — resolves the returned future with the injected
-      exception without touching the pool (for breaker tests that must
-      not pay respawn costs).
+      exception without touching the pool (no respawn cost).
 
     Slow-kernel scenarios belong on :class:`FaultyBackend` (whose
-    delays run on worker threads); :class:`Delay`/:class:`Hold` are
-    rejected here.
+    holds block worker threads); :class:`Hold` is rejected here.
     """
 
     def __init__(self, inner, schedule: FaultSchedule) -> None:
@@ -347,8 +269,6 @@ class FaultyExecutor:
                 return future
             if isinstance(action, KillWorker):
                 self.inner.kill_worker(action.index)
-            elif isinstance(action, CorruptSpill):
-                corrupt_spilled_sources()
             else:
                 raise TypeError(f"unsupported executor fault action {action!r}")
         return None

@@ -1,11 +1,10 @@
-"""Fault tolerance: deadlines, admission, retries, breakers, injection.
+"""Overload and failure handling: deadlines, admission, failed runs.
 
 Every scenario here is **deterministic**: faults fire on counted
-schedules (:mod:`repro.serving.faults`), in-flight runs block on events
-the test releases (never bare sleeps), breakers take fake clocks, and
-retry backoff uses ``base_delay=0`` so recovery is immediate.  The
-recovery contract is bit identity — kernels are pure, so a retried or
-degraded run must ``==`` the clean result.
+schedules (``faults.py`` beside this file), and in-flight runs block on
+events the test releases (never bare sleeps).  A run that raises is
+final — its exception reaches every waiter and nothing reruns it — and
+the next request must ``==`` the clean result.
 """
 
 from __future__ import annotations
@@ -26,28 +25,19 @@ from repro.backend import (
 )
 from repro.aggregates import build_join_tree
 from repro.backend.layout import LAYOUT_SORTED
+from repro.backend.process_pool import WorkerError
 from repro.serving import (
     AggregateRequest,
     AggregateService,
-    CircuitBreaker,
     DeadlineExceeded,
-    Every,
-    Fail,
-    FaultSchedule,
-    FaultyBackend,
-    FaultyExecutor,
     GroupByRequest,
-    Hold,
-    KillWorker,
     QueueFull,
-    RetryPolicy,
-    Sometimes,
-    TransientError,
 )
 from repro.serving.service import _WriteBarrier
 
+from faults import Fail, FaultSchedule, FaultyBackend, FaultyExecutor, Hold, KillWorker
+
 LABEL = "units"
-NO_BACKOFF = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
 
 
 def make_service(**kwargs):
@@ -57,7 +47,6 @@ def make_service(**kwargs):
 
 
 def faulty_service(schedule: FaultSchedule, **kwargs):
-    kwargs.setdefault("retry_policy", NO_BACKOFF)
     kwargs["backend"] = FaultyBackend(NumpyBackend(), schedule)
     kwargs.setdefault("kernel_cache", KernelCache())
     return AggregateService(**kwargs)
@@ -86,83 +75,18 @@ async def wait_until(predicate, timeout=10.0):
         await asyncio.sleep(0.005)
 
 
-# -- policy units ------------------------------------------------------------
-
-
-class TestCircuitBreaker:
-    def test_trips_after_threshold_and_half_opens(self):
-        now = [0.0]
-        brk = CircuitBreaker(failure_threshold=3, reset_seconds=10.0,
-                             clock=lambda: now[0])
-        for _ in range(2):
-            brk.record_failure()
-        assert brk.state == "closed" and brk.allow()
-        brk.record_failure()
-        assert brk.state == "open" and brk.trips == 1
-        assert not brk.allow()  # reset period not elapsed
-        now[0] = 10.0
-        assert brk.allow()  # the probe
-        assert brk.state == "half_open"
-        brk.record_success()
-        assert brk.state == "closed" and brk.recoveries == 1
-        assert brk.failures == 0
-
-    def test_half_open_failure_reopens(self):
-        now = [0.0]
-        brk = CircuitBreaker(failure_threshold=1, reset_seconds=5.0,
-                             clock=lambda: now[0])
-        brk.record_failure()
-        assert brk.state == "open"
-        now[0] = 5.0
-        assert brk.allow() and brk.state == "half_open"
-        brk.record_failure()
-        assert brk.state == "open" and brk.trips == 2
-        assert not brk.allow()  # clock at 5.0, reopened at 5.0
-        assert [tuple(t) for t in brk.transitions] == [
-            ("closed", "open"), ("open", "half_open"), ("half_open", "open"),
-        ]
-
-    def test_transition_callback(self):
-        seen = []
-        brk = CircuitBreaker("thread", failure_threshold=1,
-                             on_transition=lambda *t: seen.append(t))
-        brk.record_failure()
-        assert seen == [("thread", "closed", "open")]
-
-
-class TestRetryPolicy:
-    def test_backoff_is_deterministic_and_capped(self):
-        policy = RetryPolicy(max_attempts=5, base_delay=0.1, max_delay=0.3,
-                             jitter=0.5, seed=7)
-        a = [policy.delay(k, policy.rng()) for k in (1, 2, 3, 4)]
-        b = [policy.delay(k, policy.rng()) for k in (1, 2, 3, 4)]
-        assert a == b  # same seed, same schedule
-        assert all(d <= 0.3 * 1.5 for d in a)
-
-    def test_zero_base_means_immediate(self):
-        rng = NO_BACKOFF.rng()
-        assert NO_BACKOFF.delay(1, rng) == 0.0
-        assert NO_BACKOFF.delay(2, rng) == 0.0
+# -- schedules ---------------------------------------------------------------
 
 
 class TestSchedules:
     def test_counted_firing_and_log(self):
-        schedule = FaultSchedule().on("op", Fail(), at=(1, 3))
+        schedule = FaultSchedule().on("op", Fail(ValueError), at=(1, 3))
         assert schedule.fire("op") == []
         assert len(schedule.fire("op")) == 1
         assert schedule.fire("op") == []
         assert len(schedule.fire("op")) == 1
         assert [(op, i) for op, i, _ in schedule.log] == [("op", 1), ("op", 3)]
         assert schedule.count("op") == 4
-
-    def test_sometimes_is_seed_deterministic(self):
-        assert [Sometimes(0.5, seed=3)(i) for i in range(20)] == [
-            Sometimes(0.5, seed=3)(i) for i in range(20)
-        ]
-
-    def test_every(self):
-        every = Every(3, start=1)
-        assert [i for i in range(10) if every(i)] == [1, 4, 7]
 
 
 # -- deadlines ---------------------------------------------------------------
@@ -389,121 +313,6 @@ class TestAdmission:
         assert stats.deadline_timeouts == 1
         assert stats.completed == 2
 
-
-# -- retries -----------------------------------------------------------------
-
-
-class TestRetries:
-    def test_transient_failure_retried_bit_identical(self, int_star_db, int_star_query):
-        schedule = FaultSchedule().on("run_groupby", Fail(TransientError), at=0)
-        batch = variance_batch(LABEL)
-
-        async def run():
-            async with faulty_service(schedule) as svc:
-                svc.register_database("star", int_star_db)
-                result = await svc.submit(GroupByRequest("star", batch, "price"))
-                return result, svc.stats
-
-        result, stats = serve(run())
-        assert result == expected_groupby(int_star_db, int_star_query)
-        assert stats.retries == 1
-        assert stats.retry_exhausted == 0
-        assert stats.errors == 0
-        assert len(schedule.log) == 1
-
-    def test_retry_budget_exhausts_and_propagates(self, int_star_db):
-        schedule = FaultSchedule().on(
-            "run_groupby", Fail(TransientError, "still down"), at=lambda i: True
-        )
-        batch = variance_batch(LABEL)
-
-        async def run():
-            async with faulty_service(
-                schedule, retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
-            ) as svc:
-                svc.register_database("star", int_star_db)
-                with pytest.raises(TransientError):
-                    await svc.submit(GroupByRequest("star", batch, "price"))
-                return svc.stats
-
-        stats = serve(run())
-        assert stats.retries == 1  # one backoff before giving up
-        assert stats.retry_exhausted == 1
-        assert stats.errors == 1
-        assert schedule.count("run_groupby") == 2
-
-    def test_non_transient_errors_never_retry(self, int_star_db):
-        schedule = FaultSchedule().on(
-            "run_groupby", Fail(ValueError, "bad batch"), at=0
-        )
-        batch = variance_batch(LABEL)
-
-        async def run():
-            async with faulty_service(schedule) as svc:
-                svc.register_database("star", int_star_db)
-                with pytest.raises(ValueError):
-                    await svc.submit(GroupByRequest("star", batch, "price"))
-                return svc.stats
-
-        stats = serve(run())
-        assert stats.retries == 0
-        assert stats.retry_exhausted == 0
-        assert schedule.count("run_groupby") == 1  # exactly one attempt
-
-
-# -- circuit breakers / degradation -----------------------------------------
-
-
-class TestDegradation:
-    def test_half_open_probe_recovers(self, int_star_db, int_star_query):
-        schedule = FaultSchedule().on("run_groupby", Fail(TransientError), at=0)
-        batch = variance_batch(LABEL)
-
-        async def run():
-            async with faulty_service(
-                schedule,
-                breaker=CircuitBreaker(failure_threshold=1, reset_seconds=0.0),
-            ) as svc:
-                svc.register_database("star", int_star_db)
-                result = await svc.submit(GroupByRequest("star", batch, "price"))
-                return result, svc.stats, svc._breaker
-
-        result, stats, breaker = serve(run())
-        assert result == expected_groupby(int_star_db, int_star_query)
-        # Fail → open; reset=0 elapses immediately, so the retry itself
-        # is the half-open probe; it succeeds and closes the breaker.
-        assert breaker.trips == 1 and breaker.recoveries == 1
-        assert stats.breaker_state == "closed"
-        assert stats.degraded_runs == 0  # the probe ran on the thread pool
-        assert schedule.count("run_groupby") == 2
-
-    def test_thread_breaker_degrades_to_inline(self, int_star_db, int_star_query):
-        schedule = FaultSchedule().on("run_groupby", Fail(TransientError), at=0)
-        batch = variance_batch(LABEL)
-
-        async def run():
-            async with faulty_service(
-                schedule,
-                breaker=CircuitBreaker(failure_threshold=1, reset_seconds=60.0),
-            ) as svc:
-                svc.register_database("star", int_star_db)
-                first = await svc.submit(GroupByRequest("star", batch, "price"))
-                second = await svc.submit(GroupByRequest("star", batch, "cityf"))
-                return first, second, svc.stats, svc._breaker
-
-        first, second, stats, breaker = serve(run())
-        # Degraded runs are bit-identical to the clean path.
-        assert first == expected_groupby(int_star_db, int_star_query, "price")
-        assert second == expected_groupby(int_star_db, int_star_query, "cityf")
-        assert stats.breaker_state == "open"
-        assert ("thread", "closed", "open") in [
-            tuple(t) for t in stats.breaker_transitions
-        ]
-        assert stats.retries == 1  # first request: thread fail → retry
-        assert stats.degraded_runs == 2  # both answered inline on the loop
-        # The second request skipped the open thread stage entirely.
-        assert breaker.trips == 1 and breaker.failures == 1
-
     def test_reliability_section_in_stats(self, int_star_db):
         async def run():
             async with make_service(
@@ -517,9 +326,78 @@ class TestDegradation:
         assert section["default_deadline"] == 9.0
         assert section["max_queue_depth"] == 4
         assert section["queue_policy"] == "wait"
-        assert section["retry"]["max_attempts"] >= 1
-        assert section["breaker"]["name"] == "thread"
-        assert section["breaker"]["state"] == "closed"
+        assert set(section) == {"default_deadline", "max_queue_depth", "queue_policy"}
+
+
+# -- failed runs -------------------------------------------------------------
+
+
+class TestFailures:
+    def test_failed_run_is_final_for_every_waiter(self, int_star_db, int_star_query):
+        schedule = FaultSchedule().on("run_groupby", Fail(ValueError, "bad run"), at=0)
+        batch = variance_batch(LABEL)
+        waiters = 6
+
+        async def run():
+            async with faulty_service(schedule) as svc:
+                svc.register_database("star", int_star_db)
+                failed = await asyncio.gather(
+                    *(
+                        svc.submit(GroupByRequest("star", batch, "price"))
+                        for _ in range(waiters)
+                    ),
+                    return_exceptions=True,
+                )
+                count = schedule.count("run_groupby")
+                stats = (svc.stats.coalesced, svc.stats.errors)
+                clean = await svc.submit(GroupByRequest("star", batch, "price"))
+                return failed, count, stats, clean
+
+        failed, count, (coalesced, errors), clean = serve(run())
+        assert all(isinstance(exc, ValueError) for exc in failed)
+        assert coalesced == waiters - 1  # one run, every waiter on it
+        assert count == 1  # nothing reran the failed run
+        assert errors == 1
+        assert clean == expected_groupby(int_star_db, int_star_query)
+
+    def test_worker_error_surfaces_after_shard_resubmissions(
+        self, int_star_db, int_star_query
+    ):
+        """A process-mode sharded backend whose workers keep failing
+        raises WorkerError to the waiter after its own shard
+        resubmissions, with no further retry above it."""
+        tree = build_join_tree(
+            int_star_db.schema(), int_star_query.relations, stats=int_star_db.statistics()
+        )
+        plan = build_batch_plan(int_star_db, tree, variance_batch(LABEL), group_attr="price")
+        pool = ProcessKernelExecutor(workers=1)
+
+        def failing_backend():
+            schedule = FaultSchedule().on(
+                "run_blocks", Fail(WorkerError, "worker down"), at=lambda i: True
+            )
+            backend = ShardedBackend(
+                inner=NumpyBackend(block_size=16), shards=2, mode="process",
+                executor=FaultyExecutor(pool, schedule),
+            )
+            return backend, schedule
+
+        async def run(backend):
+            async with AggregateService(backend=backend, kernel_cache=KernelCache()) as svc:
+                svc.register_database("star", int_star_db)
+                with pytest.raises(WorkerError):
+                    await svc.submit(GroupByRequest("star", variance_batch(LABEL), "price"))
+
+        try:
+            direct, direct_schedule = failing_backend()
+            with pytest.raises(WorkerError):
+                direct.run_groupby(direct.compile_plan(plan, LAYOUT_SORTED), int_star_db)
+            served, served_schedule = failing_backend()
+            serve(run(served))
+        finally:
+            pool.shutdown()
+        assert direct_schedule.count("run_blocks") > 1  # the shard resubmitted
+        assert served_schedule.count("run_blocks") == direct_schedule.count("run_blocks")
 
 
 # -- write barrier under cancellation ---------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 from repro.aggregates import build_join_tree, covar_batch, variance_batch
 from repro.aggregates.engine import compute_batch_mode, compute_groupby
-from repro.backend import KernelCache, NumpyBackend, column_store, peek_column_store
+from repro.backend import KernelCache, NumpyBackend, peek_column_store
 from repro.ml.regression_tree import Condition
 from repro.serving import (
     AggregateRequest,
@@ -168,6 +168,9 @@ class TestCoalescing:
         assert stats.requests == 16
         assert stats.coalesced == 15
         assert stats.runs == 1
+        # completed counts dispatched units, not answered requests: the
+        # fifteen coalesced waiters rode on the one unit that ran.
+        assert stats.completed == 1
         first = results[0]
         assert all(r == first for r in results)
 
@@ -473,55 +476,3 @@ class TestLifecycleAndStats:
         with pytest.raises(ValueError, match="executor"):
             AggregateService(backend=NumpyBackend(), executor="process")
 
-
-class TestStoreBudget:
-    """Automatic ColumnStore LRU trimming under a byte budget."""
-
-    def test_over_budget_trims_coldest_store(self, int_star_db, int_star_query):
-        from repro.db import Database
-
-        batch = variance_batch(LABEL)
-        twin_db = Database(dict(int_star_db.relations))
-
-        async def run():
-            # coalesce=False keeps no views, so the repeat request below
-            # really runs against "a" instead of hitting its view.
-            async with make_service(
-                store_budget_bytes=1, coalesce=False
-            ) as svc:
-                svc.register_database("a", int_star_db)
-                svc.register_database("b", twin_db)
-                first = await svc.submit(GroupByRequest("a", batch, "price"))
-                await svc.submit(GroupByRequest("b", batch, "price"))
-                # "a" is now the LRU registration and over budget: its
-                # whole store was trimmed, the hot one ("b") survives.
-                assert peek_column_store(int_star_db) is None
-                assert peek_column_store(twin_db) is not None
-                trims = svc.stats.store_trims
-                again = await svc.submit(GroupByRequest("a", batch, "price"))
-                # The run rebuilt "a"'s store lazily; "a" is now the hot
-                # registration, so the post-run trim kept it.
-                assert peek_column_store(int_star_db) is not None
-                assert svc.stats.view_hits == 0
-                return first, again, trims
-
-        first, again, trims = serve(run())
-        assert trims >= 1
-        fresh = compute_groupby(
-            int_star_db, join_tree(int_star_db, int_star_query), batch, "price",
-            backend="numpy", kernel_cache=KernelCache(),
-        )
-        assert first == again == fresh
-
-    def test_no_budget_means_no_trims(self, int_star_db):
-        batch = variance_batch(LABEL)
-
-        async def run():
-            async with make_service() as svc:
-                svc.register_database("a", int_star_db)
-                await svc.submit(GroupByRequest("a", batch, "price"))
-                return svc.stats.store_trims, peek_column_store(int_star_db)
-
-        trims, store = serve(run())
-        assert trims == 0
-        assert store is not None

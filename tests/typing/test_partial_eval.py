@@ -4,7 +4,6 @@ from repro.interp import evaluate
 from repro.ir.builders import V, dict_build, dict_lit, fields, fld, set_lit, sum_over
 from repro.ir.expr import Add, Const, DictLit, FieldLit
 from repro.opt.rewriter import rewrite_fixpoint
-from repro.runtime.compare import values_close
 from repro.typing.partial_eval import (
     MAX_UNROLL,
     PARTIAL_EVAL_RULES,
@@ -12,6 +11,8 @@ from repro.typing.partial_eval import (
     unroll_dict_build,
     unroll_sum,
 )
+
+from compare import values_close
 
 
 class TestUnrollSum:
